@@ -4,21 +4,26 @@ All attacks return an AttackResult whose adversarial image satisfies
 ‖x* − x‖_inf <= epsilon and stays inside [0, 1]. Sign steps use the
 mathematical sign (sign(0) = 0), so pixels with zero gradient never move.
 Every attack is deterministic given its config; the projected-descent
-attack draws its random start from the config seed.
+attack draws its random start from the config seed. All but the
+hyperplane-stepping attack run one projected sign-step recurrence; they
+differ only in its start, its momentum rule and its step mask.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
+    DegenerateImageError,
     DimensionMismatchError,
     EmptyRoIError,
+    NoContourError,
     ZeroGradientError,
+    ZeroImageError,
 )
 from .imagekit import apply_mask, roi_mask, square_kernel
 from .metrics import lp_norm, perturbation_percent
@@ -92,7 +97,7 @@ def _ball(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
 def _finish(net, x, adv, success: bool, iterations: int, t0: float, trace=None) -> AttackResult:
     try:
         percent = perturbation_percent(x, adv)
-    except Exception:
+    except ZeroImageError:
         percent = math.nan
     return AttackResult(
         adversarial=adv,
@@ -113,37 +118,64 @@ def _grad_or_raise(net, x, y) -> tuple[np.ndarray, float]:
     return grad, l1
 
 
-def fgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Single sign step of size epsilon."""
+def _sign_steps(net, x, y, cfg, start=None, decay=None, roi=None, step_mask=None) -> AttackResult:
+    """The projected sign-step recurrence of fgsm, ifgsm, pgd, mifgsm and
+    both RoI-guided attacks.
+
+    They differ in three settings. The start is the clean image, or
+    `start` projected into the ball. The momentum is none (decay None:
+    step on the raw gradient sign, with no zero-gradient check), a fixed
+    factor `decay` applied to L1-normalized gradients, or, when `roi` is
+    given, a factor reset after each step to decay_weight / progress
+    inside the RoI, with a trace of every step. `step_mask` zeroes the
+    step outside it.
+    """
     t0 = time.perf_counter()
-    grad = net.input_gradient(x, y)
-    adv = np.clip(x + cfg.epsilon * np.sign(grad), 0.0, 1.0)
-    return _finish(net, x, adv, int(net.predict(adv)) != int(y), 1, t0)
+    lo, hi = _ball(x, cfg.epsilon)
+    alpha = cfg.step
+    adv = x.copy() if start is None else np.clip(start, lo, hi)
+    g = np.zeros_like(x)
+    trace = None
+    if roi is not None:
+        mask = roi
+        rho_prev = apply_mask(adv, mask)
+        trace = []
+    for _ in range(cfg.iterations):
+        if decay is None:
+            g = net.input_gradient(adv, y)
+        else:
+            grad, l1 = _grad_or_raise(net, adv, y)
+            g = decay * g + grad / l1
+        update = alpha * np.sign(g)
+        if step_mask is not None:
+            update = update * step_mask
+        adv = np.clip(adv + update, lo, hi)
+        if roi is not None:
+            if cfg.roi_reextract:
+                mask = _roi_or(adv, cfg, mask)
+            rho_next = apply_mask(adv, mask)
+            progress = roi_progress(rho_prev, rho_next)
+            decay = cfg.decay_weight / max(progress, P_FLOOR)
+            trace.append(MomentumState(g=g.copy(), mu=decay, progress=progress))
+            rho_prev = rho_next
+    return _finish(net, x, adv, int(net.predict(adv)) != int(y), cfg.iterations, t0, trace)
+
+
+def fgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
+    """Single sign step of size epsilon; cfg.iterations and cfg.alpha are
+    ignored."""
+    return _sign_steps(net, x, y, replace(cfg, iterations=1, alpha=None))
 
 
 def ifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
     """Iterated sign steps, each projected into the epsilon-ball."""
-    t0 = time.perf_counter()
-    lo, hi = _ball(x, cfg.epsilon)
-    alpha = cfg.step
-    adv = x.copy()
-    for _ in range(cfg.iterations):
-        grad = net.input_gradient(adv, y)
-        adv = np.clip(adv + alpha * np.sign(grad), lo, hi)
-    return _finish(net, x, adv, int(net.predict(adv)) != int(y), cfg.iterations, t0)
+    return _sign_steps(net, x, y, cfg)
 
 
 def pgd(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
     """Seeded random start in the ball, then projected sign descent."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = _ball(x, cfg.epsilon)
-    alpha = cfg.step
-    adv = np.clip(x + rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape), lo, hi)
-    for _ in range(cfg.iterations):
-        grad = net.input_gradient(adv, y)
-        adv = np.clip(adv + alpha * np.sign(grad), lo, hi)
-    return _finish(net, x, adv, int(net.predict(adv)) != int(y), cfg.iterations, t0)
+    return _sign_steps(net, x, y, cfg, start=x + rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape))
 
 
 def mifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
@@ -152,16 +184,7 @@ def mifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
     The momentum factor is cfg.initial_decay and stays fixed. Raises
     ZeroGradientError on a flat loss surface rather than stepping nowhere.
     """
-    t0 = time.perf_counter()
-    lo, hi = _ball(x, cfg.epsilon)
-    alpha = cfg.step
-    adv = x.copy()
-    g = np.zeros_like(x)
-    for _ in range(cfg.iterations):
-        grad, l1 = _grad_or_raise(net, adv, y)
-        g = cfg.initial_decay * g + grad / l1
-        adv = np.clip(adv + alpha * np.sign(g), lo, hi)
-    return _finish(net, x, adv, int(net.predict(adv)) != int(y), cfg.iterations, t0)
+    return _sign_steps(net, x, y, cfg, decay=cfg.initial_decay)
 
 
 def _binary_margin(net, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -220,38 +243,8 @@ def _kryptonite_core(net, x, y, roi, cfg, confine: bool) -> AttackResult:
         raise DimensionMismatchError("roi must be a boolean (H, W) mask matching x")
     if int(roi.sum()) < 1:
         raise EmptyRoIError("region of interest is empty")
-    t0 = time.perf_counter()
-    lo, hi = _ball(x, cfg.epsilon)
-    alpha = cfg.step
-    mask = roi
     step_mask = roi[:, :, None].astype(float) if confine else None
-    adv = x.copy()
-    g = np.zeros_like(x)
-    mu = cfg.initial_decay
-    rho_prev = apply_mask(adv, mask)
-    trace: list[MomentumState] = []
-    for _ in range(cfg.iterations):
-        grad, l1 = _grad_or_raise(net, adv, y)
-        g = mu * g + grad / l1
-        update = alpha * np.sign(g)
-        if confine:
-            update = update * step_mask
-        adv = np.clip(adv + update, lo, hi)
-        if cfg.roi_reextract:
-            mask = _reextract(adv, cfg, mask)
-        rho_next = apply_mask(adv, mask)
-        progress = roi_progress(rho_prev, rho_next)
-        mu = cfg.decay_weight / max(progress, P_FLOOR)
-        trace.append(MomentumState(g=g.copy(), mu=mu, progress=progress))
-        rho_prev = rho_next
-    return _finish(net, x, adv, int(net.predict(adv)) != int(y), cfg.iterations, t0, trace)
-
-
-def _reextract(img: np.ndarray, cfg: AttackConfig, fallback: np.ndarray) -> np.ndarray:
-    try:
-        return roi_mask(img, square_kernel(cfg.kernel_size))
-    except Exception:
-        return fallback
+    return _sign_steps(net, x, y, cfg, decay=cfg.initial_decay, roi=roi, step_mask=step_mask)
 
 
 def kryptonite(net, x: np.ndarray, y, roi: np.ndarray, cfg: AttackConfig) -> AttackResult:
@@ -321,7 +314,13 @@ def run_attack(
 def extract_roi_or_full(x: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     """Clean-image RoI mask; degenerate or contourless inputs fall back to
     the full frame so the attack still runs."""
+    return _roi_or(x, cfg, np.ones(x.shape[:2], dtype=bool))
+
+
+def _roi_or(img: np.ndarray, cfg: AttackConfig, fallback: np.ndarray) -> np.ndarray:
+    """RoI mask of img, or `fallback` when img is single-intensity or
+    binarizes to no contour."""
     try:
-        return roi_mask(x, square_kernel(cfg.kernel_size))
-    except Exception:
-        return np.ones(x.shape[:2], dtype=bool)
+        return roi_mask(img, square_kernel(cfg.kernel_size))
+    except (DegenerateImageError, NoContourError):
+        return fallback

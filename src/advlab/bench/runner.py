@@ -13,16 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..attacks import AttackConfig, extract_roi_or_full, run_attack
+from ..attacks import AttackConfig, AttackResult, extract_roi_or_full, run_attack
 from ..errors import ZeroGradientError
 from ..defences import DefenceConfig, adversarial_train, distill, gradient_saliency, pixel_deflect
 from ..gradnet import (
-    TrainConfig,
     build,
     conv,
     dense,
-    dropout,
-    evaluate,
     flatten,
     maxpool,
     reference_cnn_specs,
@@ -97,31 +94,32 @@ def train_network(cfg: ExperimentConfig, data: TrialData, trial: int):
     return net
 
 
-def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys) -> dict:
-    """Per-sample attack loop. A sample whose loss gradient vanishes
-    cannot be moved by any sign-step attack; it counts as an unperturbed
-    miss for the attacker rather than aborting the run."""
-    preds, scores, perts, times = [], [], [], []
-    for i in range(xs.shape[0]):
-        t0 = time.perf_counter()
-        try:
-            res = run_attack(kind, net, xs[i], int(ys[i]), acfg)
-            adv = res.adversarial
-            perts.append(res.l2_percent)
-            times.append(res.elapsed)
-        except ZeroGradientError:
-            adv = xs[i]
-            perts.append(0.0)
-            times.append(time.perf_counter() - t0)
-        preds.append(int(net.predict(adv)))
-        scores.append(float(net.score(adv)))
-    kept = [p for p in perts if not math.isnan(p)]
+def attack_sample(kind: str, net, x, y, acfg: AttackConfig) -> AttackResult:
+    """run_attack on one sample. A sample whose loss gradient vanishes
+    cannot be moved by any sign-step attack: it comes back unmoved (the
+    clean image, linf 0, l2_percent 0.0, no iterations) as a miss for the
+    attacker rather than aborting the run."""
+    t0 = time.perf_counter()
+    try:
+        return run_attack(kind, net, x, y, acfg)
+    except ZeroGradientError:
+        elapsed = time.perf_counter() - t0
+        return AttackResult(x, linf=0.0, l2_percent=0.0, iterations_used=0, success=False, elapsed=elapsed)
+
+
+def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, transform=None) -> dict:
+    """Attack every sample, pass each adversarial through `transform` when
+    given, and score the batch."""
+    results = [attack_sample(kind, net, xs[i], int(ys[i]), acfg) for i in range(xs.shape[0])]
+    advs = [r.adversarial if transform is None else transform(r.adversarial) for r in results]
+    acc, auc = _clean_stats(net, np.stack(advs), ys)
+    kept = [r.l2_percent for r in results if not math.isnan(r.l2_percent)]
     return {
-        "accuracy": accuracy(np.array(preds), ys),
-        "auc": roc_auc(np.array(scores), ys),
+        "accuracy": acc,
+        "auc": auc,
         "pert_mean": float(np.mean(kept)) if kept else math.nan,
         "pert_worst": float(np.max(kept)) if kept else math.nan,
-        "sec_per_sample": float(np.mean(times)),
+        "sec_per_sample": float(np.mean([r.elapsed for r in results])),
     }
 
 
@@ -176,18 +174,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
 
 def _defence_rows(cfg, dcfg: DefenceConfig, dname, net_id, net, data: TrialData, trial):
     dcfg_t = replace(dcfg, seed=dcfg.seed + trial, train=replace(dcfg.train, seed=dcfg.train.seed + trial))
-    out = []
+    transform = None
     if dcfg.kind == "adv_train":
-        defended, _ = adversarial_train(net, (data.train_x, data.train_y), dcfg_t)
-        d_clean, _ = _clean_stats(defended, data.test_x, data.test_y)
-        target = defended
-        transform = None
+        target, _ = adversarial_train(net, (data.train_x, data.train_y), dcfg_t)
+        d_clean, _ = _clean_stats(target, data.test_x, data.test_y)
     elif dcfg.kind == "distill":
         specs, shape = network_specs(cfg.network.arch, data.train_x.shape[1], cfg.network.scale)
-        student, _ = distill(specs, shape, (data.train_x, data.train_y), dcfg_t)
-        d_clean, _ = _clean_stats(student, data.test_x, data.test_y)
-        target = student
-        transform = None
+        target, _ = distill(specs, shape, (data.train_x, data.train_y), dcfg_t)
+        d_clean, _ = _clean_stats(target, data.test_x, data.test_y)
     elif dcfg.kind == "pixel_deflect":
         target = net
 
@@ -195,19 +189,14 @@ def _defence_rows(cfg, dcfg: DefenceConfig, dname, net_id, net, data: TrialData,
             sal = gradient_saliency(net, img)
             return pixel_deflect(img, sal, dcfg_t)
 
-        preds = [int(net.predict(transform(data.test_x[i]))) for i in range(data.test_x.shape[0])]
-        d_clean = accuracy(np.array(preds), data.test_y)
+        d_clean, _ = _clean_stats(net, np.stack([transform(x) for x in data.test_x]), data.test_y)
     else:
         raise ValueError(f"unknown defence kind {dcfg.kind!r}")
 
+    out = []
     for aname, (kind, acfg) in cfg.attacks.items():
         acfg_t = replace(acfg, seed=acfg.seed + trial)
-        preds, scores = [], []
-        for i in range(data.test_x.shape[0]):
-            res = run_attack(kind, target, data.test_x[i], int(data.test_y[i]), acfg_t)
-            adv = transform(res.adversarial) if transform is not None else res.adversarial
-            preds.append(int(target.predict(adv)))
-            scores.append(float(target.score(adv)))
+        stats = _attack_stats(target, kind, acfg_t, data.test_x, data.test_y, transform)
         out.append(
             ReportRow(
                 row="defence",
@@ -216,8 +205,8 @@ def _defence_rows(cfg, dcfg: DefenceConfig, dname, net_id, net, data: TrialData,
                 defence=dname,
                 trial=trial,
                 clean_accuracy=d_clean,
-                accuracy_under_attack=accuracy(np.array(preds), data.test_y),
-                roc_auc=roc_auc(np.array(scores), data.test_y),
+                accuracy_under_attack=stats["accuracy"],
+                roc_auc=stats["auc"],
             )
         )
     return out

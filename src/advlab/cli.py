@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import run_attack
 from .bench.config import parse_config
 from .bench.dataset import synth_dataset
 from .bench.report import emit_report
 from .bench.runner import (
+    attack_sample,
     prepare_trial_data,
     run_experiment,
     sweep,
@@ -87,7 +87,7 @@ def cmd_attack(args) -> int:
     limit = args.samples or data.test_x.shape[0]
     for name, (kind, acfg) in cfg.attacks.items():
         for i in range(min(limit, data.test_x.shape[0])):
-            res = run_attack(kind, net, data.test_x[i], int(data.test_y[i]), acfg)
+            res = attack_sample(kind, net, data.test_x[i], int(data.test_y[i]), acfg)
             records.append(
                 {
                     "attack": name,

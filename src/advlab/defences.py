@@ -15,7 +15,7 @@ import numpy as np
 
 from .attacks import AttackConfig, run_attack
 from .errors import NonPositiveTemperatureError
-from .gradnet import TrainConfig, build, evaluate, promote_to_softmax, train
+from .gradnet import TrainConfig, build, evaluate, promote_to_softmax, sgd_epoch, train
 from .gradnet.network import Network
 from .imagekit import validate_image
 
@@ -69,8 +69,8 @@ def adversarial_train(
     k = round(cfg.adversarial_fraction * n)
     chosen = np.sort(sel_rng.choice(n, size=k, replace=False)) if k else np.array([], dtype=int)
 
-    # Mirrors the plain training loop exactly so the fraction-0 case
-    # consumes the same random streams.
+    # The same SGD epoch and shuffle stream as train(), so the fraction-0
+    # case is plain training.
     shuffle_rng = np.random.default_rng(cfg.train.seed)
     mixed = xs.copy()
     for epoch in range(cfg.train.epochs):
@@ -79,15 +79,7 @@ def adversarial_train(
             source.eval_mode()
             for i in chosen:
                 mixed[i] = run_attack(cfg.attack_name, source, xs[i], ys[i], cfg.attack).adversarial
-        order = shuffle_rng.permutation(n)
-        fresh.train_mode()
-        for start in range(0, n, cfg.train.batch_size):
-            take = order[start : start + cfg.train.batch_size]
-            _, grads = fresh.param_gradients(mixed[take], ys[take])
-            for layer_params, layer_grads in zip(fresh.params, grads):
-                for name, g in layer_grads.items():
-                    layer_params[name] -= cfg.train.learning_rate * g
-        fresh.eval_mode()
+        sgd_epoch(fresh, mixed, ys, cfg.train, shuffle_rng)
 
     report = {"clean_accuracy": evaluate(fresh, xs, ys)[1]}
     adv_correct = 0

@@ -20,7 +20,7 @@ from .network import (
     reference_cnn_specs,
 )
 from .serialize import load_network, save_network
-from .train import TrainConfig, evaluate, train
+from .train import TrainConfig, evaluate, sgd_epoch, train
 
 __all__ = [
     "LayerSpec",
@@ -39,6 +39,7 @@ __all__ = [
     "reference_cnn_specs",
     "relu",
     "save_network",
+    "sgd_epoch",
     "sigmoid",
     "softmax",
     "softmax_with_temperature",

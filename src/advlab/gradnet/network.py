@@ -178,7 +178,9 @@ class Network:
 
     def predict(self, x: np.ndarray):
         """Hard labels: sigmoid thresholds at 0.5, softmax takes the argmax."""
-        p = self.forward(x)
+        return self._labels(self.forward(x))
+
+    def _labels(self, p) -> np.ndarray:
         if self.head.kind == "sigmoid":
             return (np.asarray(p) > 0.5).astype(int)
         return np.asarray(p).argmax(axis=-1)
@@ -225,10 +227,15 @@ class Network:
 
     def loss(self, x: np.ndarray, y) -> float:
         """Cross-entropy of the head against y (mean over a batch)."""
+        return self.loss_and_predict(x, y)[0]
+
+    def loss_and_predict(self, x: np.ndarray, y) -> tuple[float, np.ndarray]:
+        """loss(x, y) and the hard labels of a batch from one forward pass."""
         xb, _ = self._as_batch(x)
         targets = self._targets(y, xb.shape[0])
         out, _, _ = self._run(xb, train=self.mode == "train", keep=False)
-        return self._loss_from_out(out, targets)
+        probs = out[:, 0] if self.head.kind == "sigmoid" else out
+        return self._loss_from_out(out, targets), self._labels(probs)
 
     def _backprop_layers(self, caches, dz):
         """Push a logit gradient back to the input; collects param grads."""

@@ -52,22 +52,29 @@ def train(net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig
     history = {"loss": [], "accuracy": []}
     ys_arr = np.asarray(ys)
     for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        net.train_mode()
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            take = order[start : start + cfg.batch_size]
-            loss, grads = net.param_gradients(xs[take], ys_arr[take])
-            epoch_losses.append(loss)
-            for layer_params, layer_grads in zip(net.params, grads):
-                for name, g in layer_grads.items():
-                    layer_params[name] -= cfg.learning_rate * g
-        net.eval_mode()
-        history["loss"].append(float(np.mean(epoch_losses)))
+        history["loss"].append(sgd_epoch(net, xs, ys_arr, cfg, shuffle_rng))
         history["accuracy"].append(evaluate(net, xs, ys_arr)[1])
         if cfg.stop_accuracy is not None and history["accuracy"][-1] >= cfg.stop_accuracy:
             break
     return net, history
+
+
+def sgd_epoch(net: Network, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> float:
+    """One pass of mini-batch SGD over a shuffle drawn from rng, with
+    dropout on; returns the mean batch loss and leaves the net in eval
+    mode."""
+    order = rng.permutation(xs.shape[0])
+    net.train_mode()
+    losses = []
+    for start in range(0, xs.shape[0], cfg.batch_size):
+        take = order[start : start + cfg.batch_size]
+        loss, grads = net.param_gradients(xs[take], ys[take])
+        losses.append(loss)
+        for layer_params, layer_grads in zip(net.params, grads):
+            for name, g in layer_grads.items():
+                layer_params[name] -= cfg.learning_rate * g
+    net.eval_mode()
+    return float(np.mean(losses))
 
 
 def evaluate(net: Network, xs: np.ndarray, ys, batch_size: int = 256) -> tuple[float, float]:
@@ -83,8 +90,8 @@ def evaluate(net: Network, xs: np.ndarray, ys, batch_size: int = 256) -> tuple[f
     for start in range(0, n, batch_size):
         xb = xs[start : start + batch_size]
         yb = ys[start : start + batch_size]
-        losses.append(net.loss(xb, yb) * xb.shape[0])
-        preds = net.predict(xb)
+        loss, preds = net.loss_and_predict(xb, yb)
+        losses.append(loss * xb.shape[0])
         hard = yb if yb.ndim == 1 else yb.argmax(axis=1)
         correct += int((preds == hard).sum())
     return float(sum(losses) / n), correct / n

@@ -9,6 +9,7 @@ from advlab.attacks import (
     P_FLOOR,
     AttackConfig,
     deepfool_linf,
+    extract_roi_or_full,
     fgsm,
     ifgsm,
     kryptonite,
@@ -54,6 +55,13 @@ class TestFgsm:
         grad = logistic_grad(W, B, X.reshape(-1), 1)
         expected = np.clip(X + eps * np.sign(grad).reshape(X.shape), 0, 1)
         assert np.array_equal(res.adversarial, expected)
+
+    def test_ignores_iterations_and_alpha(self):
+        eps = 0.1
+        res = fgsm(logistic_net(W, B), X, 1, AttackConfig(epsilon=eps, iterations=5, alpha=0.01))
+        grad = logistic_grad(W, B, X.reshape(-1), 1)
+        assert np.array_equal(res.adversarial, np.clip(X + eps * np.sign(grad).reshape(X.shape), 0, 1))
+        assert res.iterations_used == 1
 
     def test_ball_containment(self):
         rng = np.random.default_rng(0)
@@ -321,6 +329,18 @@ class TestKryptoniteMasked:
         # one +-alpha step per iteration, saturating at epsilon
         assert moved <= eps + 1e-12
         assert moved == pytest.approx(min(T * alpha, eps))
+
+
+class TestRoiFallback:
+    def test_constant_image_falls_back_to_full_frame(self):
+        mask = extract_roi_or_full(np.full((8, 8, 1), 0.4), AttackConfig())
+        assert mask.dtype == np.bool_ and mask.all() and mask.shape == (8, 8)
+
+    def test_out_of_range_image_raises(self):
+        img = np.full((8, 8, 1), 0.4)
+        img[2:5, 2:5] = 1.5
+        with pytest.raises(ValueError, match="outside"):
+            extract_roi_or_full(img, AttackConfig())
 
 
 class TestBallFuzz:

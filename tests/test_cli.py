@@ -84,6 +84,24 @@ class TestCli:
         for rec in records:  # stored norms never exceed the configured budget
             assert rec["linf"] <= 0.1 + 1e-6
 
+    def test_attack_records_zero_gradient_sample(self, tmp_path, monkeypatch):
+        from advlab.bench import parse_config, prepare_trial_data, train_network
+        from advlab.gradnet import Network
+
+        p = tmp_path / "mi.ini"
+        p.write_text(SMALL_CONFIG.replace("[attack.fgsm]", "[attack.mifgsm]\niterations = 2"))
+        cfg = parse_config(p)
+        data = prepare_trial_data(cfg, 0)
+        clean_preds = train_network(cfg, data, 0).predict(data.test_x[:2])
+        monkeypatch.setattr(Network, "input_gradient", lambda self, x, y: np.zeros_like(x))
+        out = tmp_path / "attacks"
+        assert main(["attack", "--config", str(p), "--out", str(out), "--samples", "2"]) == 0
+        records = json.loads((out / "attack_records.json").read_text())
+        assert [r["prediction"] for r in records] == [int(v) for v in clean_preds]
+        for rec in records:
+            assert (rec["linf"], rec["l2_percent"], rec["iterations_used"]) == (0, 0.0, 0)
+            assert rec["success"] is False
+
     def test_sweep_writes_csv(self, tmp_path, config_file):
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from advlab.errors import EmptyDatasetError
-from advlab.gradnet import TrainConfig, build, dense, evaluate, flatten, relu, sigmoid, train
+from advlab.gradnet import Network, TrainConfig, build, dense, evaluate, flatten, relu, sigmoid, train
 
 
 def two_pixel_set(n=40, seed=0):
@@ -92,3 +92,20 @@ class TestEvaluate:
     def test_empty(self):
         with pytest.raises(EmptyDatasetError):
             evaluate(fresh_net(), np.zeros((0, 1, 2, 1)), np.zeros(0, dtype=int))
+
+    def test_one_forward_per_batch(self, monkeypatch):
+        xs, ys = two_pixel_set(n=10)
+        net = fresh_net()
+        batches = [(xs[i : i + 4], ys[i : i + 4]) for i in range(0, 10, 4)]
+        want_loss = sum(net.loss(xb, yb) * xb.shape[0] for xb, yb in batches) / 10
+        want_acc = sum(int((net.predict(xb) == yb).sum()) for xb, yb in batches) / 10
+        runs = []
+        real = Network._run
+
+        def counting(self, *args, **kwargs):
+            runs.append(args[0].shape[0])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "_run", counting)
+        assert evaluate(net, xs, ys, batch_size=4) == (want_loss, want_acc)
+        assert runs == [4, 4, 2]

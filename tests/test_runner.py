@@ -109,6 +109,30 @@ class TestRunExperiment:
         strip = lambda r: dataclasses.replace(r, seconds_per_sample=0.0)
         assert [strip(r) for r in a] == [strip(r) for r in b]
 
+    def test_zero_gradient_sample_in_defence_row(self, tmp_path, monkeypatch):
+        from advlab.bench import runner
+        from advlab.errors import ZeroGradientError
+
+        cfg_text = TINY.replace("trials = 2", "trials = 1").split("[attack.kryptonite]")[0]
+        p = tmp_path / "zero.ini"
+        p.write_text(cfg_text + "\n[defence.pixel_deflect]\nkind = pixel_deflect\ndeflections = 10\nwindow = 2\n")
+        cfg = parse_config(p)
+        flat = runner.prepare_trial_data(cfg, 0).test_x[0]
+        raised = []
+        real = runner.run_attack
+
+        def flat_on_first(kind, net, x, y, acfg, roi=None):
+            if np.array_equal(x, flat):
+                raised.append(kind)
+                raise ZeroGradientError("loss gradient is identically zero")
+            return real(kind, net, x, y, acfg, roi=roi)
+
+        monkeypatch.setattr(runner, "run_attack", flat_on_first)
+        rows = run_experiment(cfg)
+        assert raised == ["fgsm", "fgsm"]  # the attack row, then the defence row
+        defence = next(r for r in rows if r.row == "defence" and r.trial == 0)
+        assert 0.0 <= defence.accuracy_under_attack <= 1.0
+
 
 class TestSweep:
     def test_epsilon_zero_point_equals_clean_auc(self, tmp_path):
