@@ -41,8 +41,9 @@ print(f"undefended accuracy under attack: {fgsm_accuracy(net):.3f}")
 # 1. adversarial training: 65% adversarial / 35% clean mix
 adv_cfg = DefenceConfig(kind="adv_train", adversarial_fraction=0.65, attack_name="fgsm",
                         attack=attack_cfg, train=tcfg)
-hardened, report = adversarial_train(net, train_set, adv_cfg)
-print(f"adv-trained: clean={report['clean_accuracy']:.3f} under attack={fgsm_accuracy(hardened):.3f}")
+hardened, _ = adversarial_train(net, train_set, adv_cfg)
+print(f"adv-trained: clean={evaluate(hardened, test_x, test_y)[1]:.3f} "
+      f"under attack={fgsm_accuracy(hardened):.3f}")
 
 # 2. pixel deflection applied as an input transform at test time
 pd_cfg = DefenceConfig(kind="pixel_deflect", deflections=100, window=3, seed=5)

@@ -69,7 +69,7 @@ class ExperimentConfig:
 _FIELD_TYPES = {
     "n": int, "size": int, "seed": int, "train_fraction": float, "manifest": str,
     "arch": str, "scale": float,
-    "epochs": int, "batch_size": int, "learning_rate": float, "loss": str,
+    "epochs": int, "batch_size": int, "learning_rate": float,
     "stop_accuracy": float,
     "epsilon": float, "iterations": int, "alpha": float, "decay_weight": float,
     "initial_decay": float, "overshoot": float, "kernel_size": int,

@@ -78,6 +78,8 @@ def cmd_roi(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise AdvlabError("--samples must be >= 1")
     cfg = _load(args)
     data = prepare_trial_data(cfg, 0)
     net = train_network(cfg, data, 0)

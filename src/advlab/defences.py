@@ -15,7 +15,7 @@ import numpy as np
 
 from .attacks import AttackConfig, run_attack
 from .errors import NonPositiveTemperatureError
-from .gradnet import TrainConfig, build, evaluate, promote_to_softmax, sgd_epoch, train
+from .gradnet import TrainConfig, build, promote_to_softmax, sgd_epoch, train
 from .gradnet.network import Network
 from .imagekit import validate_image
 
@@ -50,14 +50,15 @@ class DefenceConfig:
 def adversarial_train(
     net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: DefenceConfig
 ) -> tuple[Network, dict]:
-    """Retrain from scratch on a clean/adversarial mix.
+    """Retrain from scratch on a clean/adversarial mix; returns (net, history).
 
     A fixed subset (cfg.adversarial_fraction of the training set) is
     replaced by adversarial versions: before the first epoch they are
     generated against the incoming network, and with the per-epoch
     schedule they are regenerated against the evolving network at each
     later epoch. With fraction 0 the run is bit-identical to plain
-    training under the same seed.
+    training under the same seed. History records the per-epoch mean
+    batch loss, as train() does.
     """
     xs, ys = dataset
     xs = np.asarray(xs, dtype=float)
@@ -73,21 +74,15 @@ def adversarial_train(
     # case is plain training.
     shuffle_rng = np.random.default_rng(cfg.train.seed)
     mixed = xs.copy()
+    history = {"loss": []}
     for epoch in range(cfg.train.epochs):
         if k and (epoch == 0 or cfg.regenerate == "per_epoch"):
             source = net if epoch == 0 else fresh
             source.eval_mode()
             for i in chosen:
                 mixed[i] = run_attack(cfg.attack_name, source, xs[i], ys[i], cfg.attack).adversarial
-        sgd_epoch(fresh, mixed, ys, cfg.train, shuffle_rng)
-
-    report = {"clean_accuracy": evaluate(fresh, xs, ys)[1]}
-    adv_correct = 0
-    for i in range(n):
-        res = run_attack(cfg.attack_name, fresh, xs[i], ys[i], cfg.attack)
-        adv_correct += int(int(fresh.predict(res.adversarial)) == int(ys[i]))
-    report["adversarial_accuracy"] = adv_correct / n
-    return fresh, report
+        history["loss"].append(sgd_epoch(fresh, mixed, ys, cfg.train, shuffle_rng))
+    return fresh, history
 
 
 def gradient_saliency(net: Network, x: np.ndarray, y=None) -> np.ndarray:
@@ -162,7 +157,6 @@ def distill(
         batch_size=cfg.train.batch_size,
         learning_rate=cfg.train.learning_rate,
         seed=cfg.train.seed,
-        loss="cross_entropy",
     )
     teacher = build(soft_specs, input_shape, seed=cfg.train.seed)
     train(teacher, (xs, ys.astype(int)), train_cfg)

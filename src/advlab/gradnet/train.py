@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyDatasetError, InvalidLabelError
+from ..errors import EmptyDatasetError
 from .network import Network
 
 
@@ -16,22 +16,11 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.1
     seed: int = 0
-    loss: str = "auto"  # "bce" | "cross_entropy" | "auto" (match the head)
     stop_accuracy: float | None = None  # early-stop once train accuracy reaches this
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
-        if self.loss not in ("auto", "bce", "cross_entropy"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-
-
-def _check_loss_matches_head(net: Network, loss: str) -> None:
-    head = net.head.kind
-    if loss == "bce" and head != "sigmoid":
-        raise InvalidLabelError("bce loss requires a sigmoid head")
-    if loss == "cross_entropy" and head != "softmax":
-        raise InvalidLabelError("cross_entropy loss requires a softmax head")
 
 
 def train(net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
@@ -46,7 +35,6 @@ def train(net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig
     n = xs.shape[0]
     if n == 0:
         raise EmptyDatasetError("training set is empty")
-    _check_loss_matches_head(net, cfg.loss)
 
     shuffle_rng = np.random.default_rng(cfg.seed)
     history = {"loss": [], "accuracy": []}

@@ -30,10 +30,6 @@ class Contour:
     def point_set(self) -> set[tuple[int, int]]:
         return set(self.points)
 
-    @property
-    def area_hint(self) -> int:
-        return len(self.points)
-
 
 def trace_borders(mask: np.ndarray) -> list[Contour]:
     """Trace every border of the mask with its outer/hole hierarchy.

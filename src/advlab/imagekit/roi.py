@@ -1,9 +1,10 @@
-"""Region-of-interest extraction: threshold, dilate, trace, fill.
+"""Region-of-interest extraction: threshold, dilate, label, fill.
 
 The extractor assumes the region of interest is brighter than its
 surroundings after normalization; pass invert=True for dark-on-light
-regions. When several components survive binarization, the outer contour
-enclosing the largest area wins (ties go to the first in raster order).
+regions. When several components survive binarization, the component
+enclosing the largest area wins (ties go to the first in raster order of
+its top-left pixel, where border following would start its outer contour).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NoContourError
-from .contours import build_region_tree, trace_borders
+from .contours import build_region_tree
 from .ops import (
     binarize,
     compute_histogram,
@@ -33,9 +34,9 @@ def roi_mask(
     """Extract the region-of-interest mask of an image.
 
     Pipeline: grayscale -> automatic threshold (unless `threshold` is
-    given) -> binarize -> dilate -> trace borders -> fill the outer
-    contour with the largest enclosed area. The returned boolean mask
-    contains the contour pixels and everything inside the contour.
+    given) -> binarize -> dilate -> label components and holes -> fill
+    the component with the largest enclosed area. The returned boolean
+    mask contains the component and everything nested inside it.
 
     Raises DegenerateImageError for single-intensity images and
     NoContourError when binarization leaves no foreground.
@@ -50,19 +51,6 @@ def roi_mask(
     fg = dilate(fg, kernel)
     if not fg.any():
         raise NoContourError("binarization produced no foreground pixels")
-    contours = trace_borders(fg)
-    outers = [c for c in contours if c.kind == "outer"]
-    if not outers:
-        raise NoContourError("no outer contour found")
-
     tree = build_region_tree(fg)
-    best = None
-    best_area = -1
-    for contour in outers:
-        r, c = contour.points[0]
-        comp = int(tree.fg_labels[r, c])
-        area = tree.enclosed_counts[comp]
-        if area > best_area:
-            best_area = area
-            best = comp
-    return tree.enclosed_mask(best)
+    counts = tree.enclosed_counts
+    return tree.enclosed_mask(max(counts, key=counts.get))

@@ -161,6 +161,13 @@ class TestConfig:
         with pytest.raises(BadFormatError, match="epsilonn"):
             parse_config(p)
 
+    def test_train_loss_option_rejected(self, tmp_path):
+        # The loss follows the network head; there is no option to pick it.
+        p = tmp_path / "bad.ini"
+        p.write_text("[train]\nloss = bce\n")
+        with pytest.raises(BadFormatError, match="loss"):
+            parse_config(p)
+
     def test_unknown_attack_kind(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[attack.warp]\nepsilon = 0.1\n")

@@ -84,6 +84,13 @@ class TestCli:
         for rec in records:  # stored norms never exceed the configured budget
             assert rec["linf"] <= 0.1 + 1e-6
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_attack_rejects_samples_below_one(self, tmp_path, config_file, capsys, samples):
+        out = tmp_path / "attacks"
+        assert main(["attack", "--config", str(config_file), "--out", str(out), "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (out / "attack_records.json").exists()
+
     def test_attack_records_zero_gradient_sample(self, tmp_path, monkeypatch):
         from advlab.bench import parse_config, prepare_trial_data, train_network
         from advlab.gradnet import Network

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from advlab.errors import DegenerateImageError, NoContourError
-from advlab.imagekit import roi_mask, square_kernel
+from advlab.imagekit import fill_outer_contour, roi_mask, square_kernel, trace_borders
 
 
 def disk_image(size=48, center=(24, 24), radius=10, fg=0.9, bg=0.1):
@@ -69,3 +69,47 @@ class TestRoiMask:
     def test_area_at_least_one(self):
         img, _ = disk_image(radius=2)
         assert roi_mask(img).sum() >= 1
+
+
+def traced_roi(mask):
+    """Border-following reference: fill every outer contour and keep the
+    largest region (the first outer contour in raster order on ties)."""
+    regions = [fill_outer_contour(mask, c) for c in trace_borders(mask) if c.kind == "outer"]
+    return max(regions, key=lambda r: r.sum())
+
+
+def as_image(mask):
+    return mask.astype(float)[:, :, None]
+
+
+class TestRoiMatchesBorderFollowing:
+    def test_random_masks(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            h, w = rng.integers(3, 16, size=2)
+            mask = rng.random((h, w)) < rng.uniform(0.1, 0.9)
+            if not mask.any():
+                continue
+            got = roi_mask(as_image(mask), square_kernel(1), threshold=128)
+            assert np.array_equal(got, traced_roi(mask))
+
+    def test_equal_areas_first_in_raster_order_wins(self):
+        mask = np.zeros((12, 12), dtype=bool)
+        mask[6:9, 1:4] = True
+        mask[2:5, 7:10] = True  # same area, earlier top-left pixel
+        got = roi_mask(as_image(mask), square_kernel(1), threshold=128)
+        expected = np.zeros_like(mask)
+        expected[2:5, 7:10] = True
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, traced_roi(mask))
+
+    def test_ring_with_big_hole_beats_larger_solid_blob(self):
+        mask = np.zeros((20, 32), dtype=bool)
+        mask[1:13, 1:13] = True
+        mask[2:12, 2:12] = False  # ring: 44 px, encloses 144
+        mask[2:13, 18:29] = True  # solid blob: 121 px, encloses 121
+        got = roi_mask(as_image(mask), square_kernel(1), threshold=128)
+        expected = np.zeros_like(mask)
+        expected[1:13, 1:13] = True
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, traced_roi(mask))
