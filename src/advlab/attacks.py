@@ -7,6 +7,10 @@ Every attack is deterministic given its config; the projected-descent
 attack draws its random start from the config seed. All but the
 hyperplane-stepping attack run one projected sign-step recurrence; they
 differ only in its start, its momentum rule and its step mask.
+
+Both loops run over a batch (N, H, W, C) with per-sample state, so a
+sample steps exactly as it would alone. The per-sample functions are N=1
+calls into them; `run_attacks` attacks a batch ATTACK_CHUNK rows at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     ZeroGradientError,
     ZeroImageError,
 )
-from .imagekit import apply_mask, roi_mask, square_kernel
+from .imagekit import roi_mask, square_kernel
 from .metrics import lp_norm, perturbation_percent
 
 P_FLOOR = 1e-8  # progress floor guarding the decay-factor division
@@ -94,139 +98,118 @@ def _ball(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _finish(net, x, adv, success: bool, iterations: int, t0: float, trace=None) -> AttackResult:
-    try:
-        percent = perturbation_percent(x, adv)
-    except ZeroImageError:
-        percent = math.nan
-    return AttackResult(
-        adversarial=adv,
-        linf=lp_norm(x, adv, math.inf),
-        l2_percent=percent,
-        iterations_used=iterations,
-        success=success,
-        elapsed=time.perf_counter() - t0,
-        trace=trace,
-    )
+@dataclass
+class _Outcome:
+    """What a batched attack loop hands back, one entry per row."""
+
+    adv: np.ndarray
+    success: np.ndarray
+    iterations: np.ndarray
+    zero: np.ndarray  # the loss or margin gradient vanished at some step
+    traces: list[list[MomentumState]] | None = None
 
 
-def _grad_or_raise(net, x, y) -> tuple[np.ndarray, float]:
-    grad = net.input_gradient(x, y)
-    l1 = float(np.abs(grad).sum())
-    if l1 == 0.0:
-        raise ZeroGradientError("loss gradient is identically zero")
-    return grad, l1
-
-
-def _sign_steps(net, x, y, cfg, start=None, decay=None, roi=None, step_mask=None) -> AttackResult:
+def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=False) -> _Outcome:
     """The projected sign-step recurrence of fgsm, ifgsm, pgd, mifgsm and
-    both RoI-guided attacks.
+    both RoI-guided attacks, over a batch xs (N, H, W, C) labelled ys (N,).
 
     They differ in three settings. The start is the clean image, or
     `start` projected into the ball. The momentum is none (decay None:
     step on the raw gradient sign, with no zero-gradient check), a fixed
-    factor `decay` applied to L1-normalized gradients, or, when `roi` is
-    given, a factor reset after each step to decay_weight / progress
-    inside the RoI, with a trace of every step. `step_mask` zeroes the
-    step outside it.
+    factor `decay` applied to L1-normalized gradients, or, when `rois`
+    (N, H, W) is given, a factor reset after each step to decay_weight /
+    progress inside each row's RoI, with a trace of every step.
+    `confine` zeroes the step outside the clean-image RoI.
+
+    Each row keeps its own L1 norm, factor, progress and mask, so a row
+    steps exactly as it would alone. A row whose normalized gradient is
+    identically zero at some step is flagged in `zero`; it steps on in
+    the batch, and callers discard it.
     """
-    t0 = time.perf_counter()
-    lo, hi = _ball(x, cfg.epsilon)
+    n = xs.shape[0]
+    lo, hi = _ball(xs, cfg.epsilon)
     alpha = cfg.step
-    adv = x.copy() if start is None else np.clip(start, lo, hi)
-    g = np.zeros_like(x)
-    trace = None
-    if roi is not None:
-        mask = roi
-        rho_prev = apply_mask(adv, mask)
-        trace = []
+    adv = xs.copy() if start is None else np.clip(start, lo, hi)
+    g = np.zeros_like(xs)
+    zero = np.zeros(n, dtype=bool)
+    mu = None if decay is None else np.full(n, float(decay))
+    traces = None
+    if rois is not None:
+        masks = rois
+        step_mask = rois[..., None].astype(float) if confine else None
+        rho_prev = adv * masks[..., None]
+        traces = [[] for _ in range(n)]
     for _ in range(cfg.iterations):
-        if decay is None:
-            g = net.input_gradient(adv, y)
+        grad = net.input_gradient(adv, ys)
+        if mu is None:
+            g = grad
         else:
-            grad, l1 = _grad_or_raise(net, adv, y)
-            g = decay * g + grad / l1
+            l1 = np.abs(grad).reshape(n, -1).sum(axis=1)
+            flat = l1 == 0.0
+            zero |= flat
+            g = mu[:, None, None, None] * g + grad / np.where(flat, 1.0, l1)[:, None, None, None]
         update = alpha * np.sign(g)
-        if step_mask is not None:
+        if confine:
             update = update * step_mask
         adv = np.clip(adv + update, lo, hi)
-        if roi is not None:
+        if rois is not None:
             if cfg.roi_reextract:
-                mask = _roi_or(adv, cfg, mask)
-            rho_next = apply_mask(adv, mask)
-            progress = roi_progress(rho_prev, rho_next)
-            decay = cfg.decay_weight / max(progress, P_FLOOR)
-            trace.append(MomentumState(g=g.copy(), mu=decay, progress=progress))
+                masks = np.stack([_roi_or(a, cfg, m) for a, m in zip(adv, masks)])
+            rho_next = adv * masks[..., None]
+            progress = np.sqrt(((rho_next - rho_prev) ** 2).reshape(n, -1).sum(axis=1))
+            mu = cfg.decay_weight / np.maximum(progress, P_FLOOR)
+            for i, trace in enumerate(traces):
+                trace.append(MomentumState(g=g[i].copy(), mu=float(mu[i]), progress=float(progress[i])))
             rho_prev = rho_next
-    return _finish(net, x, adv, int(net.predict(adv)) != int(y), cfg.iterations, t0, trace)
+    success = net.predict(adv) != ys
+    return _Outcome(adv, success, np.full(n, cfg.iterations), zero, traces)
 
 
-def fgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Single sign step of size epsilon; cfg.iterations and cfg.alpha are
-    ignored."""
-    return _sign_steps(net, x, y, replace(cfg, iterations=1, alpha=None))
-
-
-def ifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Iterated sign steps, each projected into the epsilon-ball."""
-    return _sign_steps(net, x, y, cfg)
-
-
-def pgd(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Seeded random start in the ball, then projected sign descent."""
-    rng = np.random.default_rng(cfg.seed)
-    return _sign_steps(net, x, y, cfg, start=x + rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape))
-
-
-def mifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Momentum accumulation of L1-normalized gradients, then sign steps.
-
-    The momentum factor is cfg.initial_decay and stays fixed. Raises
-    ZeroGradientError on a flat loss surface rather than stepping nowhere.
-    """
-    return _sign_steps(net, x, y, cfg, decay=cfg.initial_decay)
-
-
-def _binary_margin(net, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Signed distance surrogate and its input gradient for a binary head."""
-    z = net.logits(x)
+def _binary_margin(net, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed distance surrogate and its input gradient, per row, for a
+    binary head."""
+    z = net.logits(xs)
     if net.head.kind == "sigmoid":
-        return float(z[0]), net.logit_backprop(x, np.array([1.0]))
+        return z[:, 0], net.logit_backprop(xs, np.array([1.0]))
     if net.shapes[-1][0] != 2:
         raise DimensionMismatchError("hyperplane stepping needs a binary head")
-    return float(z[1] - z[0]), net.logit_backprop(x, np.array([-1.0, 1.0]))
+    return z[:, 1] - z[:, 0], net.logit_backprop(xs, np.array([-1.0, 1.0]))
 
 
-def deepfool_linf(net, x: np.ndarray, cfg: AttackConfig) -> AttackResult:
-    """Minimal-looking L-infinity steps across the decision boundary.
+def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> _Outcome:
+    """The hyperplane-stepping loop over a batch xs (N, H, W, C).
 
-    Each iteration linearizes the logit margin f and moves every pixel by
-    (|f| + 1e-4) / ‖∇f‖_1 against the margin sign, scaled by
-    (1 + overshoot); iteration stops at the first label flip. The result
-    is projected into the configured epsilon-ball (the default budget of
-    1.0 leaves it untouched beyond the [0, 1] clamp).
+    A row leaves the active set at its first label flip, or flagged in
+    `zero` when its margin gradient vanishes; the network sees only
+    active rows.
     """
-    t0 = time.perf_counter()
-    lo, hi = _ball(x, cfg.epsilon)
-    y0 = int(net.predict(x))
+    n = xs.shape[0]
+    lo, hi = _ball(xs, cfg.epsilon)
+    y0 = net.predict(xs)
     # Push the margin away from the predicted class; deriving the sign
     # from the prediction (strict > threshold) keeps boundary-sitting
     # points moving in the flipping direction.
-    direction = -1.0 if y0 == 1 else 1.0
-    adv = x.copy()
-    used = 0
+    direction = np.where(y0 == 1, -1.0, 1.0)
+    adv = xs.copy()
+    used = np.zeros(n, dtype=int)
+    zero = np.zeros(n, dtype=bool)
+    active = np.arange(n)
     for _ in range(cfg.iterations):
-        if int(net.predict(adv)) != y0:
+        if active.size:
+            active = active[net.predict(adv[active]) == y0[active]]
+        if not active.size:
             break
-        z, w = _binary_margin(net, adv)
-        l1 = float(np.abs(w).sum())
-        if l1 == 0.0:
-            raise ZeroGradientError("margin gradient is identically zero")
-        step = (abs(z) + _CROSS) / l1 * (1.0 + cfg.overshoot)
-        adv = np.clip(adv + direction * step * np.sign(w), 0.0, 1.0)
-        used += 1
+        z, w = _binary_margin(net, adv[active])
+        l1 = np.abs(w).reshape(active.size, -1).sum(axis=1)
+        moving = l1 > 0.0
+        zero[active[~moving]] = True
+        active, z, w, l1 = active[moving], z[moving], w[moving], l1[moving]
+        step = (np.abs(z) + _CROSS) / l1 * (1.0 + cfg.overshoot)
+        push = (direction[active] * step)[:, None, None, None]
+        adv[active] = np.clip(adv[active] + push * np.sign(w), 0.0, 1.0)
+        used[active] += 1
     adv = np.clip(adv, lo, hi)
-    return _finish(net, x, adv, int(net.predict(adv)) != y0, used, t0)
+    return _Outcome(adv, net.predict(adv) != y0, used, zero)
 
 
 def roi_progress(rho_prev: np.ndarray, rho_next: np.ndarray) -> float:
@@ -238,13 +221,151 @@ def roi_progress(rho_prev: np.ndarray, rho_next: np.ndarray) -> float:
     return lp_norm(rho_prev, rho_next, 2)
 
 
-def _kryptonite_core(net, x, y, roi, cfg, confine: bool) -> AttackResult:
-    if roi.dtype != np.bool_ or roi.shape != x.shape[:2]:
-        raise DimensionMismatchError("roi must be a boolean (H, W) mask matching x")
-    if int(roi.sum()) < 1:
-        raise EmptyRoIError("region of interest is empty")
-    step_mask = roi[:, :, None].astype(float) if confine else None
-    return _sign_steps(net, x, y, cfg, decay=cfg.initial_decay, roi=roi, step_mask=step_mask)
+ATTACK_NAMES = ("fgsm", "ifgsm", "pgd", "mifgsm", "deepfool", "kryptonite", "kryptonite_masked")
+ROI_ATTACKS = ("kryptonite", "kryptonite_masked")
+# Rows per batched call. At 16 rows a gradient costs about as little per
+# row as at 150, while a chunk's per-step activations stay small: one
+# 150-row batch raised an experiment's peak memory by a third.
+ATTACK_CHUNK = 16
+
+
+def _attack_batch(name: str, net, xs, ys, cfg: AttackConfig, rois) -> _Outcome:
+    """Run attack `name` on one batch."""
+    if name == "fgsm":
+        return _sign_steps(net, xs, ys, replace(cfg, iterations=1, alpha=None))
+    if name == "ifgsm":
+        return _sign_steps(net, xs, ys, cfg)
+    if name == "pgd":
+        # One start noise, drawn from the seed, shared by every row.
+        rng = np.random.default_rng(cfg.seed)
+        return _sign_steps(net, xs, ys, cfg, start=xs + rng.uniform(-cfg.epsilon, cfg.epsilon, size=xs.shape[1:]))
+    if name == "mifgsm":
+        return _sign_steps(net, xs, ys, cfg, decay=cfg.initial_decay)
+    if name == "deepfool":
+        return _deepfool(net, xs, cfg)
+    if name in ROI_ATTACKS:
+        if rois is None:
+            rois = np.stack([extract_roi_or_full(x, cfg) for x in xs])
+        if rois.dtype != np.bool_ or rois.shape != xs.shape[:3]:
+            raise DimensionMismatchError("roi must be a boolean (H, W) mask matching x")
+        if not rois.reshape(rois.shape[0], -1).any(axis=1).all():
+            raise EmptyRoIError("region of interest is empty")
+        confine = name == "kryptonite_masked"
+        return _sign_steps(net, xs, ys, cfg, decay=cfg.initial_decay, rois=rois, confine=confine)
+    raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
+
+
+def _finish(x, adv, success, iterations, trace) -> AttackResult:
+    try:
+        percent = perturbation_percent(x, adv)
+    except ZeroImageError:
+        percent = math.nan
+    return AttackResult(
+        adversarial=adv,
+        linf=lp_norm(x, adv, math.inf),
+        l2_percent=percent,
+        iterations_used=int(iterations),
+        success=bool(success),
+        elapsed=0.0,
+        trace=trace,
+    )
+
+
+def _attack_chunk(name: str, net, xs, ys, cfg: AttackConfig, rois) -> tuple[list[AttackResult], np.ndarray]:
+    """Results of one batch and its zero-gradient flags; each result's
+    elapsed is the batch's wall time over its rows."""
+    t0 = time.perf_counter()
+    out = _attack_batch(name, net, xs, ys, cfg, rois)
+    traces = out.traces or [None] * xs.shape[0]
+    results = [_finish(*row) for row in zip(xs, out.adv, out.success, out.iterations, traces)]
+    elapsed = (time.perf_counter() - t0) / xs.shape[0]
+    for res in results:
+        res.elapsed = elapsed
+    return results, out.zero
+
+
+def run_attack(
+    name: str,
+    net,
+    x: np.ndarray,
+    y,
+    cfg: AttackConfig,
+    roi: np.ndarray | None = None,
+) -> AttackResult:
+    """Attack one sample by name: the batched loops at N=1.
+
+    The RoI-guided attacks receive `roi` or, when absent, the mask
+    extracted from the clean image (full-frame fallback if extraction
+    fails). The hyperplane-stepping attack ignores the label. Raises
+    ZeroGradientError where a momentum or hyperplane-stepping attack
+    meets a flat loss surface, rather than stepping nowhere.
+    """
+    x = np.asarray(x)
+    [res], zero = _attack_chunk(name, net, x[None], np.asarray([y]), cfg, None if roi is None else roi[None])
+    if zero[0]:
+        raise ZeroGradientError("gradient is identically zero")
+    return res
+
+
+def run_attacks(name: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.ndarray | None = None) -> list[AttackResult]:
+    """Attack every row of xs (N, H, W, C), labelled ys (N,), ATTACK_CHUNK
+    rows at a time; `rois` (N, H, W) are the RoI-guided attacks' masks.
+
+    Row i's result is run_attack's on (xs[i], ys[i], rois[i]), except that
+    a row whose gradient vanishes cannot be moved: it comes back unmoved
+    (the clean image, linf 0, l2_percent 0.0, no iterations) as a miss
+    for the attacker rather than aborting the batch. elapsed is the
+    chunk's wall time over its rows.
+    """
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    results = []
+    for start in range(0, xs.shape[0], ATTACK_CHUNK):
+        part = slice(start, start + ATTACK_CHUNK)
+        chunk, zero = _attack_chunk(name, net, xs[part], ys[part], cfg, None if rois is None else rois[part])
+        results += [
+            AttackResult(x, linf=0.0, l2_percent=0.0, iterations_used=0, success=False, elapsed=r.elapsed) if flat else r
+            for x, r, flat in zip(xs[part], chunk, zero)
+        ]
+    return results
+
+
+def fgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
+    """Single sign step of size epsilon; cfg.iterations and cfg.alpha are
+    ignored."""
+    return run_attack("fgsm", net, x, y, cfg)
+
+
+def ifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
+    """Iterated sign steps, each projected into the epsilon-ball."""
+    return run_attack("ifgsm", net, x, y, cfg)
+
+
+def pgd(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
+    """Seeded random start in the ball, then projected sign descent. The
+    start noise depends on cfg.seed alone, so every sample gets the same."""
+    return run_attack("pgd", net, x, y, cfg)
+
+
+def mifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
+    """Momentum accumulation of L1-normalized gradients, then sign steps.
+
+    The momentum factor is cfg.initial_decay and stays fixed. Raises
+    ZeroGradientError on a flat loss surface rather than stepping nowhere.
+    """
+    return run_attack("mifgsm", net, x, y, cfg)
+
+
+def deepfool_linf(net, x: np.ndarray, cfg: AttackConfig) -> AttackResult:
+    """Minimal-looking L-infinity steps across the decision boundary.
+
+    Each iteration linearizes the logit margin f and moves every pixel by
+    (|f| + 1e-4) / ‖∇f‖_1 against the margin sign, scaled by
+    (1 + overshoot); iteration stops at the first label flip. The result
+    is projected into the configured epsilon-ball (the default budget of
+    1.0 leaves it untouched beyond the [0, 1] clamp).
+    """
+    return run_attack("deepfool", net, x, None, cfg)
 
 
 def kryptonite(net, x: np.ndarray, y, roi: np.ndarray, cfg: AttackConfig) -> AttackResult:
@@ -267,48 +388,13 @@ def kryptonite(net, x: np.ndarray, y, roi: np.ndarray, cfg: AttackConfig) -> Att
     fixed-momentum attack with initial_decay set to that mu (the first
     factor multiplies a zero accumulator, so it never matters).
     """
-    return _kryptonite_core(net, x, y, roi, cfg, confine=False)
+    return run_attack("kryptonite", net, x, y, cfg, roi=roi)
 
 
 def kryptonite_masked(net, x: np.ndarray, y, roi: np.ndarray, cfg: AttackConfig) -> AttackResult:
     """Same recurrence with the sign step zeroed outside the RoI, so
     pixels off the mask never change."""
-    return _kryptonite_core(net, x, y, roi, cfg, confine=True)
-
-
-ATTACK_NAMES = ("fgsm", "ifgsm", "pgd", "mifgsm", "deepfool", "kryptonite", "kryptonite_masked")
-
-
-def run_attack(
-    name: str,
-    net,
-    x: np.ndarray,
-    y,
-    cfg: AttackConfig,
-    roi: np.ndarray | None = None,
-) -> AttackResult:
-    """Dispatch an attack by name with uniform RoI handling.
-
-    The RoI-guided attacks receive `roi` or, when absent, the mask
-    extracted from the clean image (full-frame fallback if extraction
-    fails). The hyperplane-stepping attack ignores the label.
-    """
-    if name == "fgsm":
-        return fgsm(net, x, y, cfg)
-    if name == "ifgsm":
-        return ifgsm(net, x, y, cfg)
-    if name == "pgd":
-        return pgd(net, x, y, cfg)
-    if name == "mifgsm":
-        return mifgsm(net, x, y, cfg)
-    if name == "deepfool":
-        return deepfool_linf(net, x, cfg)
-    if name in ("kryptonite", "kryptonite_masked"):
-        if roi is None:
-            roi = extract_roi_or_full(x, cfg)
-        fn = kryptonite if name == "kryptonite" else kryptonite_masked
-        return fn(net, x, y, roi, cfg)
-    raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
+    return run_attack("kryptonite_masked", net, x, y, cfg, roi=roi)
 
 
 def extract_roi_or_full(x: np.ndarray, cfg: AttackConfig) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..attacks import AttackConfig, AttackResult, extract_roi_or_full, run_attack
+from ..attacks import ROI_ATTACKS, AttackConfig, extract_roi_or_full, run_attack, run_attacks
 from ..errors import ZeroGradientError
 from ..defences import DefenceConfig, adversarial_train, distill, gradient_saliency, pixel_deflect
 from ..gradnet import (
@@ -94,23 +94,16 @@ def train_network(cfg: ExperimentConfig, data: TrialData, trial: int):
     return net
 
 
-def attack_sample(kind: str, net, x, y, acfg: AttackConfig) -> AttackResult:
-    """run_attack on one sample. A sample whose loss gradient vanishes
-    cannot be moved by any sign-step attack: it comes back unmoved (the
-    clean image, linf 0, l2_percent 0.0, no iterations) as a miss for the
-    attacker rather than aborting the run."""
-    t0 = time.perf_counter()
-    try:
-        return run_attack(kind, net, x, y, acfg)
-    except ZeroGradientError:
-        elapsed = time.perf_counter() - t0
-        return AttackResult(x, linf=0.0, l2_percent=0.0, iterations_used=0, success=False, elapsed=elapsed)
-
-
-def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, transform=None) -> dict:
-    """Attack every sample, pass each adversarial through `transform` when
-    given, and score the batch."""
-    results = [attack_sample(kind, net, xs[i], int(ys[i]), acfg) for i in range(xs.shape[0])]
+def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, masks: dict, transform=None) -> dict:
+    """Attack every sample in one batched call, pass each adversarial
+    through `transform` when given, and score the batch. `masks` holds
+    the clean-image RoI masks of xs per kernel size, filled on first use."""
+    rois = None
+    if kind in ROI_ATTACKS:
+        if acfg.kernel_size not in masks:
+            masks[acfg.kernel_size] = np.stack([extract_roi_or_full(x, acfg) for x in xs])
+        rois = masks[acfg.kernel_size]
+    results = run_attacks(kind, net, xs, ys, acfg, rois=rois)
     advs = [r.adversarial if transform is None else transform(r.adversarial) for r in results]
     acc, auc = _clean_stats(net, np.stack(advs), ys)
     kept = [r.l2_percent for r in results if not math.isnan(r.l2_percent)]
@@ -124,9 +117,8 @@ def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, transform=None) ->
 
 
 def _clean_stats(net, xs, ys) -> tuple[float, float]:
-    preds = net.predict(xs)
-    scores = net.score(xs)
-    return accuracy(np.asarray(preds), ys), roc_auc(np.asarray(scores), ys)
+    preds, scores = net.predict_and_score(xs)
+    return accuracy(preds, ys), roc_auc(scores, ys)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -137,6 +129,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
     for trial in range(cfg.trials):
         data = prepare_trial_data(cfg, trial)
         net = train_network(cfg, data, trial)
+        masks: dict = {}
         clean_acc, clean_auc = _clean_stats(net, data.test_x, data.test_y)
         rows.append(
             ReportRow(
@@ -149,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
         )
         for name, (kind, acfg) in cfg.attacks.items():
             acfg_t = replace(acfg, seed=acfg.seed + trial)
-            stats = _attack_stats(net, kind, acfg_t, data.test_x, data.test_y)
+            stats = _attack_stats(net, kind, acfg_t, data.test_x, data.test_y, masks)
             rows.append(
                 ReportRow(
                     row="attack",
@@ -166,13 +159,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
             )
         for dname, dcfg in cfg.defences.items():
             rows.extend(
-                _defence_rows(cfg, dcfg, dname, net_id, net, data, trial)
+                _defence_rows(cfg, dcfg, dname, net_id, net, data, trial, masks)
             )
     rows.extend(mean_rows(rows))
     return rows
 
 
-def _defence_rows(cfg, dcfg: DefenceConfig, dname, net_id, net, data: TrialData, trial):
+def _defence_rows(cfg, dcfg: DefenceConfig, dname, net_id, net, data: TrialData, trial, masks: dict):
     dcfg_t = replace(dcfg, seed=dcfg.seed + trial, train=replace(dcfg.train, seed=dcfg.train.seed + trial))
     transform = None
     if dcfg.kind == "adv_train":
@@ -196,7 +189,7 @@ def _defence_rows(cfg, dcfg: DefenceConfig, dname, net_id, net, data: TrialData,
     out = []
     for aname, (kind, acfg) in cfg.attacks.items():
         acfg_t = replace(acfg, seed=acfg.seed + trial)
-        stats = _attack_stats(target, kind, acfg_t, data.test_x, data.test_y, transform)
+        stats = _attack_stats(target, kind, acfg_t, data.test_x, data.test_y, masks, transform)
         out.append(
             ReportRow(
                 row="defence",
@@ -254,16 +247,17 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec | None = None) -> list[dict]:
     xs, ys = data.test_x[:take], data.test_y[:take]
 
     roster = spec.attacks or tuple(cfg.attacks)
+    masks: dict = {}
     records = []
     for name in roster:
         kind, acfg = cfg.attacks[name]
-        if spec.axis == "decay_weight" and kind not in ("kryptonite", "kryptonite_masked"):
+        if spec.axis == "decay_weight" and kind not in ROI_ATTACKS:
             continue
         if spec.axis == "overshoot" and kind != "deepfool":
             continue
         for value in spec.values:
             acfg_v = replace(acfg, **{spec.axis: float(value)})
-            stats = _attack_stats(net, kind, acfg_v, xs, ys)
+            stats = _attack_stats(net, kind, acfg_v, xs, ys, masks)
             records.append(
                 {"attack": name, "axis": spec.axis, "value": float(value), "roc_auc": stats["auc"]}
             )
@@ -285,9 +279,14 @@ def sweep_to_csv(records: list[dict], out_path) -> None:
 def time_attacks(cfg: ExperimentConfig, samples: int = 50) -> dict[str, float]:
     """Mean wall-clock seconds per adversarial sample, attack call only.
 
+    This times single-sample latency, so each attack runs per sample
+    through run_attack, not in the chunks run_experiment uses: a batched
+    call would divide one chunk's time among its rows and measure
+    throughput instead.
+
     RoI masks are an input of the RoI-guided attacks, so they are
-    extracted before the clock starts, mirroring how a batch attack would
-    reuse one extractor pass per image.
+    extracted before the clock starts, as run_experiment extracts them
+    once per image.
 
     The attacks take turns on each sample instead of each running as one
     block, so a change in the host's speed during the run lands on every
@@ -300,7 +299,7 @@ def time_attacks(cfg: ExperimentConfig, samples: int = 50) -> dict[str, float]:
     totals = dict.fromkeys(cfg.attacks, 0.0)
     for i in range(xs.shape[0]):
         for name, (kind, acfg) in cfg.attacks.items():
-            roi = rois[i] if kind in ("kryptonite", "kryptonite_masked") else None
+            roi = rois[i] if kind in ROI_ATTACKS else None
             t0 = time.perf_counter()
             try:
                 run_attack(kind, net, xs[i], int(ys[i]), acfg, roi=roi)

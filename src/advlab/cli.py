@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .attacks import run_attacks
 from .bench.config import parse_config
 from .bench.dataset import synth_dataset
 from .bench.report import emit_report
 from .bench.runner import (
-    attack_sample,
     prepare_trial_data,
     run_experiment,
     sweep,
@@ -86,16 +86,17 @@ def cmd_attack(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = []
-    limit = args.samples or data.test_x.shape[0]
+    xs, ys = data.test_x[: args.samples], data.test_y[: args.samples]
     for name, (kind, acfg) in cfg.attacks.items():
-        for i in range(min(limit, data.test_x.shape[0])):
-            res = attack_sample(kind, net, data.test_x[i], int(data.test_y[i]), acfg)
+        results = run_attacks(kind, net, xs, ys, acfg)
+        preds = net.predict(np.stack([r.adversarial for r in results]))
+        for i, (res, pred) in enumerate(zip(results, preds)):
             records.append(
                 {
                     "attack": name,
                     "sample": i,
-                    "label": int(data.test_y[i]),
-                    "prediction": int(net.predict(res.adversarial)),
+                    "label": int(ys[i]),
+                    "prediction": int(pred),
                     "linf": res.linf,
                     "l2_percent": res.l2_percent,
                     "iterations_used": res.iterations_used,

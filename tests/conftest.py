@@ -1,0 +1,25 @@
+"""Shared fixtures."""
+
+import numpy as np
+import pytest
+
+from advlab.gradnet import Network
+
+
+@pytest.fixture
+def zero_gradient_at(monkeypatch):
+    """Install a Network.input_gradient that returns zero for any input
+    equal to a given image, so that a batched call zeroes just that row."""
+
+    def install(row: np.ndarray) -> None:
+        real = Network.input_gradient
+
+        def patched(self, x, y):
+            g = real(self, x, y)
+            xb = np.asarray(x).reshape((-1,) + row.shape)
+            hit = (xb == row).reshape(xb.shape[0], -1).all(axis=1)
+            return np.where(hit[:, None, None, None], 0.0, g.reshape(xb.shape)).reshape(g.shape)
+
+        monkeypatch.setattr(Network, "input_gradient", patched)
+
+    return install

@@ -1,11 +1,13 @@
 """Attack contracts: closed-form traces, degeneracies, ball containment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from advlab.attacks import (
+    ATTACK_CHUNK,
     P_FLOOR,
     AttackConfig,
     deepfool_linf,
@@ -17,9 +19,10 @@ from advlab.attacks import (
     mifgsm,
     pgd,
     roi_progress,
+    run_attacks,
 )
-from advlab.errors import DimensionMismatchError, EmptyRoIError
-from advlab.gradnet import build, dense, flatten, relu, sigmoid
+from advlab.errors import DimensionMismatchError, EmptyRoIError, ZeroGradientError
+from advlab.gradnet import Network, build, dense, flatten, relu, sigmoid
 from advlab.metrics import lp_norm
 
 
@@ -366,3 +369,102 @@ class TestBallFuzz:
                 assert res.linf <= eps_used + 1e-6
                 assert res.adversarial.min() >= 0.0
                 assert res.adversarial.max() <= 1.0
+
+
+PER_SAMPLE = {
+    "fgsm": lambda net, x, y, roi, cfg: fgsm(net, x, y, cfg),
+    "ifgsm": lambda net, x, y, roi, cfg: ifgsm(net, x, y, cfg),
+    "pgd": lambda net, x, y, roi, cfg: pgd(net, x, y, cfg),
+    "mifgsm": lambda net, x, y, roi, cfg: mifgsm(net, x, y, cfg),
+    "kryptonite": lambda net, x, y, roi, cfg: kryptonite(net, x, y, roi, cfg),
+    "kryptonite_masked": lambda net, x, y, roi, cfg: kryptonite_masked(net, x, y, roi, cfg),
+}
+
+
+def batch_problem(n=37, seed=4):
+    """An MLP on 4x4 images, n random images and labels, and random
+    non-empty RoIs; n crosses two chunk boundaries."""
+    assert n > 2 * ATTACK_CHUNK
+    net = build([flatten(), dense(8), relu(), dense(1), sigmoid()], (4, 4, 1), seed=seed)
+    rng = np.random.default_rng(seed)
+    xs = rng.random((n, 4, 4, 1))
+    ys = rng.integers(0, 2, size=n)
+    rois = rng.random((n, 4, 4)) < 0.5
+    rois[:, 1, 1] = True
+    return net, xs, ys, rois
+
+
+def loop_reference(kind, net, xs, ys, rois, cfg):
+    """The per-sample functions in a loop, with run_attacks' rule for a
+    sample whose gradient vanishes: it comes back unmoved."""
+    out = []
+    for x, y, roi in zip(xs, ys, rois):
+        try:
+            out.append(PER_SAMPLE[kind](net, x, y, roi, cfg))
+        except ZeroGradientError:
+            out.append(None)
+    return out
+
+
+def assert_same(batched, looped, xs):
+    assert len(batched) == len(looped)
+    for x, b, want in zip(xs, batched, looped):
+        if want is None:
+            assert np.array_equal(b.adversarial, x)
+            assert (b.linf, b.l2_percent, b.iterations_used, b.success) == (0.0, 0.0, 0, False)
+            continue
+        assert np.array_equal(b.adversarial, want.adversarial)
+        assert (b.linf, b.l2_percent, b.iterations_used, b.success) == (
+            want.linf,
+            want.l2_percent,
+            want.iterations_used,
+            want.success,
+        )
+        if want.trace is not None:
+            assert [s.mu for s in b.trace] == [s.mu for s in want.trace]
+            assert [s.progress for s in b.trace] == [s.progress for s in want.trace]
+
+
+class TestRunAttacks:
+    CFG = AttackConfig(epsilon=0.1, iterations=4, decay_weight=0.05, initial_decay=0.5, seed=3)
+
+    @pytest.mark.parametrize("kind, reextract", [(k, False) for k in PER_SAMPLE] + [("kryptonite", True)])
+    def test_batch_equals_per_sample_loop(self, kind, reextract):
+        net, xs, ys, rois = batch_problem()
+        cfg = replace(self.CFG, roi_reextract=reextract)
+        batched = run_attacks(kind, net, xs, ys, cfg, rois=rois)
+        assert_same(batched, loop_reference(kind, net, xs, ys, rois, cfg), xs)
+
+    @pytest.mark.parametrize("kind", ["mifgsm", "kryptonite"])
+    def test_zero_gradient_row_mid_chunk_comes_back_unmoved(self, kind, zero_gradient_at):
+        net, xs, ys, rois = batch_problem()
+        flat = 2 * ATTACK_CHUNK - 9  # inside the second chunk
+        zero_gradient_at(xs[flat].copy())
+        batched = run_attacks(kind, net, xs, ys, self.CFG, rois=rois)
+        looped = loop_reference(kind, net, xs, ys, rois, self.CFG)
+        assert [i for i, r in enumerate(looped) if r is None] == [flat]
+        assert_same(batched, looped, xs)
+
+    def test_pgd_start_noise_is_shared_across_rows(self, monkeypatch):
+        net, _, ys, _ = batch_problem()
+        xs = np.random.default_rng(8).uniform(0.3, 0.7, size=(ys.size, 4, 4, 1))
+        monkeypatch.setattr(Network, "input_gradient", lambda self, x, y: np.zeros_like(x))
+        cfg = AttackConfig(epsilon=0.1, iterations=2, seed=11)
+        noise = np.random.default_rng(cfg.seed).uniform(-cfg.epsilon, cfg.epsilon, size=xs.shape[1:])
+        for x, res in zip(xs, run_attacks("pgd", net, xs, ys, cfg)):
+            assert np.array_equal(res.adversarial, x + noise)
+
+    def test_deepfool_batch_matches_per_sample_loop(self):
+        net, xs, ys, _ = batch_problem()
+        cfg = AttackConfig(epsilon=1.0, iterations=3, overshoot=0.02)
+        batched = run_attacks("deepfool", net, xs, ys, cfg)
+        looped = [deepfool_linf(net, x, cfg) for x in xs]
+        for b, want in zip(batched, looped):
+            assert (b.success, b.iterations_used) == (want.success, want.iterations_used)
+            assert np.abs(b.adversarial - want.adversarial).max() <= 1e-15
+        # Rows the network already misclassifies (the attack starts from
+        # the prediction, not the label), rows that flip after one and two
+        # steps, and rows that never flip in the budget all share chunks.
+        assert (net.predict(xs) != ys).any()
+        outcomes = {(r.iterations_used, r.success) for r in batched}
+        assert {(1, True), (2, True), (3, False)} <= outcomes

@@ -106,6 +106,38 @@ class TestAdversarialTrain:
                 assert np.array_equal(pa[name], pb[name])
 
 
+    def test_zero_gradient_row_stays_clean(self, monkeypatch, zero_gradient_at):
+        import advlab.defences as defences
+
+        xs, ys = noisy_margin_set(n=24, seed=4)
+        tcfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.5, seed=4)
+        net = build([flatten(), dense(8), relu(), dense(1), sigmoid()], (4, 4, 1), seed=4)
+        train(net, (xs, ys), tcfg)
+        flat = 7
+        mixes = []
+        real_epoch = defences.sgd_epoch
+
+        def recording(model, mixed, labels, cfg, rng):
+            mixes.append(mixed.copy())
+            return real_epoch(model, mixed, labels, cfg, rng)
+
+        zero_gradient_at(xs[flat])
+        monkeypatch.setattr(defences, "sgd_epoch", recording)
+        cfg = DefenceConfig(
+            kind="adv_train",
+            adversarial_fraction=1.0,
+            attack_name="mifgsm",
+            attack=AttackConfig(epsilon=0.1, iterations=3),
+            train=tcfg,
+        )
+        adversarial_train(net, (xs, ys), cfg)
+        assert len(mixes) == tcfg.epochs
+        for mixed in mixes:
+            assert np.array_equal(mixed[flat], xs[flat])
+            moved = np.abs(mixed - xs).reshape(len(xs), -1).max(axis=1) > 0
+            assert moved.sum() == len(xs) - 1
+
+
 class TestPixelDeflect:
     def test_identity_when_disabled(self):
         rng = np.random.default_rng(7)

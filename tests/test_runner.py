@@ -109,27 +109,30 @@ class TestRunExperiment:
         strip = lambda r: dataclasses.replace(r, seconds_per_sample=0.0)
         assert [strip(r) for r in a] == [strip(r) for r in b]
 
-    def test_zero_gradient_sample_in_defence_row(self, tmp_path, monkeypatch):
+    def test_zero_gradient_sample_in_defence_row(self, tmp_path, monkeypatch, zero_gradient_at):
         from advlab.bench import runner
-        from advlab.errors import ZeroGradientError
 
         cfg_text = TINY.replace("trials = 2", "trials = 1").split("[attack.kryptonite]")[0]
+        cfg_text = cfg_text.replace("[attack.fgsm]", "[attack.mifgsm]\niterations = 2")
         p = tmp_path / "zero.ini"
         p.write_text(cfg_text + "\n[defence.pixel_deflect]\nkind = pixel_deflect\ndeflections = 10\nwindow = 2\n")
         cfg = parse_config(p)
         flat = runner.prepare_trial_data(cfg, 0).test_x[0]
-        raised = []
-        real = runner.run_attack
+        attacked = []
+        real_attacks = runner.run_attacks
 
-        def flat_on_first(kind, net, x, y, acfg, roi=None):
-            if np.array_equal(x, flat):
-                raised.append(kind)
-                raise ZeroGradientError("loss gradient is identically zero")
-            return real(kind, net, x, y, acfg, roi=roi)
+        def recording(kind, net, xs, ys, acfg, rois=None):
+            results = real_attacks(kind, net, xs, ys, acfg, rois=rois)
+            attacked.append((kind, results[0]))
+            return results
 
-        monkeypatch.setattr(runner, "run_attack", flat_on_first)
+        zero_gradient_at(flat)
+        monkeypatch.setattr(runner, "run_attacks", recording)
         rows = run_experiment(cfg)
-        assert raised == ["fgsm", "fgsm"]  # the attack row, then the defence row
+        assert [kind for kind, _ in attacked] == ["mifgsm", "mifgsm"]  # the attack row, then the defence row
+        for _, res in attacked:
+            assert np.array_equal(res.adversarial, flat)
+            assert (res.linf, res.l2_percent, res.iterations_used, res.success) == (0.0, 0.0, 0, False)
         defence = next(r for r in rows if r.row == "defence" and r.trial == 0)
         assert 0.0 <= defence.accuracy_under_attack <= 1.0
 
