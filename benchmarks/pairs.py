@@ -5,12 +5,12 @@
 
 Each side is a directory holding an advlab checkout of one commit, such
 as a git worktree or a `git archive` export. For every seed the script
-runs `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` once
-on each side, alternating which side goes first, and keeps the JSON line
-each run prints last. It writes every
-pair, the `env` line of the first run (nproc, numpy, BLAS), and per side
-the median and quartiles of each end-to-end metric, plus the number of
-pairs each side won per metric. Each invocation appends one batch under
+runs `perfbench/run.py --workload W --seed S --trace 0` once on each
+side, alternating which side goes first, and keeps the JSON line each
+run prints last; perfbench's own default sets the run length. It writes
+every pair, the `env` line of the first run (nproc, numpy, BLAS), and
+per side the median and quartiles of each end-to-end metric, plus the
+number of pairs each side won per metric. Each invocation appends one batch under
 its workload's key, so a file keeps every batch run for it.
 """
 
@@ -36,9 +36,9 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """(result JSON, env) of one untraced perfbench run in `tree`."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(ln[4:]) for ln in lines if ln.startswith("env ")), {})
@@ -70,7 +70,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 201-210,7919")
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     args = parser.parse_args(argv)
 
@@ -82,19 +81,13 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side], side_env = run_once(trees[side], args.workload, seed, args.seconds)
+            pair[side], side_env = run_once(trees[side], args.workload, seed)
             env = env or side_env
         pairs.append(pair)
         got = {s: pair[s]["metrics"]["items_per_s"]["value"] for s in ("parent", "change")}
         print(f"{args.workload} seed {seed}: items_per_s parent {got['parent']:.4g} change {got['change']:.4g}", flush=True)
     bench.setdefault("env", env)
-    bench.setdefault(args.workload, []).append(
-        {
-            "seconds": args.seconds,
-            "pairs": pairs,
-            "summary": summarise(pairs),
-        }
-    )
+    bench.setdefault(args.workload, []).append({"pairs": pairs, "summary": summarise(pairs)})
     out_path.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"{len(pairs)} pairs -> {out_path}")
     return 0

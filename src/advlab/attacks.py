@@ -9,8 +9,10 @@ hyperplane-stepping attack run one projected sign-step recurrence; they
 differ only in its start, its momentum rule and its step mask.
 
 Both loops run over a batch (N, H, W, C) with per-sample state, so a
-sample steps exactly as it would alone. The per-sample functions are N=1
-calls into them; `run_attacks` attacks a batch ATTACK_CHUNK rows at a time.
+sample's arithmetic is its own. Its gradient is not bit for bit the N=1
+one: the network's batched matrix products round apart from single-row
+ones (by about 1e-16). The per-sample functions are N=1 calls into the
+loops; `run_attacks` attacks a batch ATTACK_CHUNK rows at a time.
 """
 
 from __future__ import annotations
@@ -121,10 +123,10 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
     progress inside each row's RoI, with a trace of every step.
     `confine` zeroes the step outside the clean-image RoI.
 
-    Each row keeps its own L1 norm, factor, progress and mask, so a row
-    steps exactly as it would alone. A row whose normalized gradient is
-    identically zero at some step is flagged in `zero`; it steps on in
-    the batch, and callers discard it.
+    Each row keeps its own L1 norm, factor, progress and mask; only the
+    gradient's rounding depends on the batch (see the module docstring).
+    A row whose normalized gradient is identically zero at some step is
+    flagged in `zero`; it steps on in the batch, and callers discard it.
     """
     n = xs.shape[0]
     lo, hi = _ball(xs, cfg.epsilon)
@@ -156,7 +158,7 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
             if cfg.roi_reextract:
                 masks = np.stack([_roi_or(a, cfg, m) for a, m in zip(adv, masks)])
             rho_next = adv * masks[..., None]
-            progress = np.sqrt(((rho_next - rho_prev) ** 2).reshape(n, -1).sum(axis=1))
+            progress = roi_progress(rho_prev, rho_next)
             mu = cfg.decay_weight / np.maximum(progress, P_FLOOR)
             for i, trace in enumerate(traces):
                 trace.append(MomentumState(g=g[i].copy(), mu=float(mu[i]), progress=float(progress[i])))
@@ -212,13 +214,17 @@ def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> _Outcome:
     return _Outcome(adv, net.predict(adv) != y0, used, zero)
 
 
-def roi_progress(rho_prev: np.ndarray, rho_next: np.ndarray) -> float:
-    """Euclidean distance between successive RoI-masked iterates."""
+def roi_progress(rho_prev: np.ndarray, rho_next: np.ndarray):
+    """Euclidean distance between successive RoI-masked iterates over
+    their trailing (H, W, C) axes: a float for one image, an (N,) array
+    for a batch."""
     if rho_prev.shape != rho_next.shape:
         raise DimensionMismatchError(
             f"shape mismatch: {rho_prev.shape} vs {rho_next.shape}"
         )
-    return lp_norm(rho_prev, rho_next, 2)
+    diff = (rho_next - rho_prev).reshape(rho_prev.shape[:-3] + (-1,))
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 ATTACK_NAMES = ("fgsm", "ifgsm", "pgd", "mifgsm", "deepfool", "kryptonite", "kryptonite_masked")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackConfig, run_attacks
-from .attacks import run_attack  # noqa: F401  (perfbench wraps this name to trace per-sample attacks)
 from .errors import NonPositiveTemperatureError
 from .gradnet import EVAL_BATCH, TrainConfig, build, promote_to_softmax, sgd_epoch, train
 from .gradnet.network import Network

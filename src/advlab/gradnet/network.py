@@ -265,15 +265,19 @@ class Network:
                 dact = dact @ params["w"].T
         return dact, grads
 
-    def _backward(self, xb, yb, train: bool):
+    def _backward(self, xb, yb, train: bool, mean: bool = True):
+        """Loss, input and parameter gradients of a batch. With mean the
+        gradients are of the batch-mean loss; without it each row's input
+        gradient is that of its own loss, as if it were alone."""
         n = xb.shape[0]
         targets = self._targets(yb, n)
         out, z, caches = self._run(xb, train=train, keep=True)
         loss = self._loss_from_out(out, targets)
+        rows = n if mean else 1
         if self.head.kind == "sigmoid":
-            dz = (out - targets[:, None]) / n
+            dz = (out - targets[:, None]) / rows
         else:
-            dz = (out - targets) / (self.head.temperature * n)
+            dz = (out - targets) / (self.head.temperature * rows)
         dact, grads = self._backprop_layers(caches, dz)
         return loss, dact, grads
 
@@ -292,8 +296,7 @@ class Network:
     def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
         """Exact gradient of the loss w.r.t. every input pixel (eval mode)."""
         xb, single = self._as_batch(x)
-        _, dx, _ = self._backward(xb, y, train=False)
-        dx = dx * xb.shape[0]  # undo batch mean: per-sample gradients
+        _, dx, _ = self._backward(xb, y, train=False, mean=False)
         return dx[0] if single else dx
 
     def param_gradients(self, xs: np.ndarray, ys) -> tuple[float, list[dict]]:
