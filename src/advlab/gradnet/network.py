@@ -268,7 +268,7 @@ class Network:
     def _backward(self, xb, yb, train: bool, mean: bool = True):
         """Loss, input and parameter gradients of a batch. With mean the
         gradients are of the batch-mean loss; without it each row's input
-        gradient is that of its own loss, as if it were alone."""
+        gradient is that of its own loss."""
         n = xb.shape[0]
         targets = self._targets(yb, n)
         out, z, caches = self._run(xb, train=train, keep=True)
