@@ -170,12 +170,14 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
 def _binary_margin(net, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed distance surrogate and its input gradient, per row, for a
     binary head."""
-    z = net.logits(xs)
     if net.head.kind == "sigmoid":
-        return z[:, 0], net.logit_backprop(xs, np.array([1.0]))
-    if net.shapes[-1][0] != 2:
+        dz = np.array([1.0])
+    elif net.shapes[-1][0] == 2:
+        dz = np.array([-1.0, 1.0])
+    else:
         raise DimensionMismatchError("hyperplane stepping needs a binary head")
-    return z[:, 1] - z[:, 0], net.logit_backprop(xs, np.array([-1.0, 1.0]))
+    z, w = net.logit_backprop(xs, dz)
+    return z @ dz, w
 
 
 def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> _Outcome:

@@ -3,7 +3,16 @@
 All activations are channels-last: batches are (N, H, W, C) before
 flattening and (N, D) after. Convolution uses an im2col matmul; its cache
 keeps the patch matrix so the backward pass is a pair of matmuls plus a
-col2im scatter.
+col2im scatter. `conv_backward` computes only the gradients its caller
+asks for: training needs no input gradient from the first layer, and an
+input gradient needs no dW/db.
+
+Max-pooling works on the window*window strided views of its input, one
+per window offset in raster order. The forward takes their running max
+and records, per output, the first offset that holds the max, which is
+the element `argmax` over the window would pick (ties are common: ReLU
+leaves all-zero windows). The backward adds each offset's share of dy
+into the matching strided view of dx, with no scatter index arrays.
 """
 
 from __future__ import annotations
@@ -105,43 +114,60 @@ def conv_forward(x, w, b, pad, stride):
     return y, cache
 
 
-def conv_backward(dy, w, cache, stride):
+def conv_backward(dy, w, cache, stride, need_dx=True, need_params=True):
+    """(dx, dw, db) of a conv layer; a gradient not asked for is None."""
     cols, x_shape, xp_shape, p = cache
     kh, kw, cin, f = w.shape
     n, oh, ow, _ = dy.shape
-    db = dy.sum(axis=(0, 1, 2))
-    dw = (cols.reshape(-1, kh * kw * cin).T @ dy.reshape(-1, f)).reshape(w.shape)
-    dcols = (dy @ w.reshape(-1, f).T).reshape(n, oh, ow, kh, kw, cin)
-    dxp = np.zeros(xp_shape)
-    for a in range(kh):
-        for c in range(kw):
-            dxp[:, a : a + oh * stride : stride, c : c + ow * stride : stride, :] += dcols[
-                :, :, :, a, c, :
-            ]
-    _, h, wd, _ = x_shape
-    dx = dxp[:, p : p + h, p : p + wd, :]
+    dx = dw = db = None
+    if need_params:
+        db = dy.sum(axis=(0, 1, 2))
+        dw = (cols.reshape(-1, kh * kw * cin).T @ dy.reshape(-1, f)).reshape(w.shape)
+    if need_dx:
+        dcols = (dy @ w.reshape(-1, f).T).reshape(n, oh, ow, kh, kw, cin)
+        dxp = np.zeros(xp_shape)
+        for a in range(kh):
+            for c in range(kw):
+                dxp[:, a : a + oh * stride : stride, c : c + ow * stride : stride, :] += dcols[
+                    :, :, :, a, c, :
+                ]
+        _, h, wd, _ = x_shape
+        dx = dxp[:, p : p + h, p : p + wd, :]
     return dx, dw, db
 
 
+def _window_views(a, window, stride, oh, ow):
+    """The strided view of `a` under each window offset, in raster order:
+    view k holds, for every output (i, j), the element at offset
+    (k // window, k % window) of window (i, j)."""
+    span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    return [
+        a[:, r : r + span_h : stride, c : c + span_w : stride]
+        for r in range(window)
+        for c in range(window)
+    ]
+
+
 def maxpool_forward(x, window, stride):
-    n, h, w, c = x.shape
-    view = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-    oh, ow = view.shape[1], view.shape[2]
-    flat = view.reshape(n, oh, ow, c, window * window)
-    idx = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    cache = (idx, x.shape, oh, ow)
-    return y, cache
+    _, h, w, _ = x.shape
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+    views = _window_views(x, window, stride, oh, ow)
+    y = views[0].copy()
+    for view in views[1:]:
+        np.maximum(y, view, out=y)
+    # Scan the offsets backwards so the first offset holding the max wins.
+    idx = np.full(y.shape, len(views) - 1, dtype=np.intp)
+    for k in range(len(views) - 2, -1, -1):
+        np.copyto(idx, k, where=views[k] == y)
+    return y, (idx, x.shape)
 
 
 def maxpool_backward(dy, cache, window, stride):
-    idx, x_shape, oh, ow = cache
-    n, h, w, c = x_shape
+    idx, x_shape = cache
     dx = np.zeros(x_shape)
-    ni, oi, oj, ci = np.indices((n, oh, ow, c))
-    rows = oi * stride + idx // window
-    cols = oj * stride + idx % window
-    np.add.at(dx, (ni, rows, cols, ci), dy)
+    oh, ow = idx.shape[1], idx.shape[2]
+    for k, view in enumerate(_window_views(dx, window, stride, oh, ow)):
+        view += np.where(idx == k, dy, 0.0)
     return dx
 
 

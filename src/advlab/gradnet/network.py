@@ -185,15 +185,12 @@ class Network:
             return (np.asarray(p) > 0.5).astype(int)
         return np.asarray(p).argmax(axis=-1)
 
-    def score(self, x: np.ndarray):
-        """Scalar score of the positive class, for ranking metrics."""
-        return self._scores(self.forward(x))
-
     def _scores(self, p):
         return p if self.head.kind == "sigmoid" else p[..., 1]
 
     def predict_and_score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """predict(x) and score(x) from one forward pass."""
+        """predict(x) and the positive-class score, for ranking metrics,
+        from one forward pass."""
         p = self.forward(x)
         return self._labels(p), self._scores(p)
 
@@ -242,16 +239,26 @@ class Network:
         probs = out[:, 0] if self.head.kind == "sigmoid" else out
         return self._loss_from_out(out, targets), self._labels(probs)
 
-    def _backprop_layers(self, caches, dz):
-        """Push a logit gradient back to the input; collects param grads."""
+    def _backprop_layers(self, caches, dz, need_params: bool):
+        """Push a logit gradient back through the stack.
+
+        With need_params it returns the parameter gradients and stops at
+        the lowest layer that has parameters, whose input gradient nobody
+        reads; without, it returns the input gradient and skips dW/db.
+        """
         grads: list[dict] = [{} for _ in self.specs]
+        stop = min((i for i, p in enumerate(self.params) if p), default=0) if need_params else 0
         dact = dz
-        for i in range(len(self.specs) - 2, -1, -1):
+        for i in range(len(self.specs) - 2, stop - 1, -1):
             spec, params, cache = self.specs[i], self.params[i], caches[i]
+            need_dx = i > stop or not need_params
             k = spec.kind
             if k == "conv":
-                dact, dw, db = conv_backward(dact, params["w"], cache, spec.stride)
-                grads[i] = {"w": dw, "b": db}
+                dact, dw, db = conv_backward(
+                    dact, params["w"], cache, spec.stride, need_dx=need_dx, need_params=need_params
+                )
+                if need_params:
+                    grads[i] = {"w": dw, "b": db}
             elif k == "relu":
                 dact = dact * cache
             elif k == "maxpool":
@@ -261,42 +268,43 @@ class Network:
             elif k == "flatten":
                 dact = dact.reshape(cache)
             elif k == "dense":
-                grads[i] = {"w": cache.T @ dact, "b": dact.sum(axis=0)}
-                dact = dact @ params["w"].T
-        return dact, grads
+                if need_params:
+                    grads[i] = {"w": cache.T @ dact, "b": dact.sum(axis=0)}
+                dact = dact @ params["w"].T if need_dx else None
+        return grads if need_params else dact
 
-    def _backward(self, xb, yb, train: bool, mean: bool = True):
-        """Loss, input and parameter gradients of a batch. With mean the
-        gradients are of the batch-mean loss; without it each row's input
-        gradient is that of its own loss."""
+    def _backward(self, xb, yb, train: bool, need_params: bool):
+        """Loss and one kind of gradient of a batch: with need_params the
+        parameter gradients of the batch-mean loss, without it each row's
+        input gradient of its own loss."""
         n = xb.shape[0]
         targets = self._targets(yb, n)
         out, z, caches = self._run(xb, train=train, keep=True)
         loss = self._loss_from_out(out, targets)
-        rows = n if mean else 1
+        rows = n if need_params else 1
         if self.head.kind == "sigmoid":
             dz = (out - targets[:, None]) / rows
         else:
             dz = (out - targets) / (self.head.temperature * rows)
-        dact, grads = self._backprop_layers(caches, dz)
-        return loss, dact, grads
+        return loss, self._backprop_layers(caches, dz, need_params)
 
-    def logit_backprop(self, x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-        """Gradient of dz . logits w.r.t. the input (eval mode).
+    def logit_backprop(self, x: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Logits and the gradient of dz . logits w.r.t. the input, from
+        one forward pass (eval mode).
 
         For a binary margin pass dz = [1] (sigmoid head) or [-1, 1]
         (2-logit softmax head).
         """
         xb, single = self._as_batch(x)
-        _, _, caches = self._run(xb, train=False, keep=True)
+        _, z, caches = self._run(xb, train=False, keep=True)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), (xb.shape[0], self.shapes[-1][0]))
-        dx, _ = self._backprop_layers(caches, dz)
-        return dx[0] if single else dx
+        dx = self._backprop_layers(caches, dz, need_params=False)
+        return (z[0], dx[0]) if single else (z, dx)
 
     def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
         """Exact gradient of the loss w.r.t. every input pixel (eval mode)."""
         xb, single = self._as_batch(x)
-        _, dx, _ = self._backward(xb, y, train=False, mean=False)
+        _, dx = self._backward(xb, y, train=False, need_params=False)
         return dx[0] if single else dx
 
     def param_gradients(self, xs: np.ndarray, ys) -> tuple[float, list[dict]]:
@@ -306,8 +314,7 @@ class Network:
             xs = xs[None]
         if xs.shape[0] == 0:
             raise EmptyBatchError("gradient of an empty batch")
-        loss, _, grads = self._backward(xs, ys, train=self.mode == "train")
-        return loss, grads
+        return self._backward(xs, ys, train=self.mode == "train", need_params=True)
 
 
 def build(specs: list[LayerSpec], input_shape: tuple, seed: int = 0) -> Network:

@@ -211,8 +211,10 @@ def dilate(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     ch, cw = kh // 2, kw // 2
     h, w = mask.shape
     out = np.zeros_like(mask)
-    for di in range(-ch, ch + 1):
-        for dj in range(-cw, cw + 1):
+    # An offset of a full side or more shifts the mask off the image; the
+    # slices below would wrap around at it, so the offsets stop short.
+    for di in range(-min(ch, h - 1), min(ch, h - 1) + 1):
+        for dj in range(-min(cw, w - 1), min(cw, w - 1) + 1):
             if not kernel[di + ch, dj + cw]:
                 continue
             src_r = slice(max(0, di), min(h, h + di))

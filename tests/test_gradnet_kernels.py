@@ -1,0 +1,161 @@
+"""Max-pooling kernels against the argmax/np.add.at formulation, and the
+partial backward passes against a full one."""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+import advlab.gradnet.network as network
+from advlab.gradnet import build, conv, dense, flatten, maxpool, relu, sigmoid
+from advlab.gradnet.layers import conv_backward, maxpool_backward, maxpool_forward
+
+
+def oracle_maxpool_forward(x, window, stride):
+    """Window copy, argmax and take_along_axis."""
+    n, _, _, c = x.shape
+    view = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+    oh, ow = view.shape[1], view.shape[2]
+    flat = view.reshape(n, oh, ow, c, window * window)
+    idx = flat.argmax(axis=-1)
+    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    return y, idx
+
+
+def oracle_maxpool_backward(dy, idx, x_shape, window, stride):
+    """Scatter dy to each window's argmax with np.add.at."""
+    n, oh, ow, c = idx.shape
+    dx = np.zeros(x_shape)
+    ni, oi, oj, ci = np.indices((n, oh, ow, c))
+    np.add.at(dx, (ni, oi * stride + idx // window, oj * stride + idx % window, ci), dy)
+    return dx
+
+
+def relu_activations(rng, shape, zero_windows=0):
+    """ReLU'd noise with some all-zero (fully tied) 2x2 windows."""
+    x = np.maximum(rng.standard_normal(shape), 0.0)
+    for _ in range(zero_windows):
+        b, i, j = rng.integers(shape[0]), rng.integers(shape[1] // 2), rng.integers(shape[2] // 2)
+        x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, :] = 0.0
+    return x
+
+
+class TestMaxpoolAgainstOracle:
+    @pytest.mark.parametrize("shape", [(1, 8, 8, 3), (16, 8, 8, 3), (1, 7, 9, 2), (16, 15, 13, 4)])
+    def test_bit_identical_non_overlapping(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        x = relu_activations(rng, shape, zero_windows=2 * shape[0])
+        y, cache = maxpool_forward(x, 2, 2)
+        y_ref, idx_ref = oracle_maxpool_forward(x, 2, 2)
+        assert y.shape == y_ref.shape
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(cache[0], idx_ref)
+        dy = rng.standard_normal(y.shape)
+        dx = maxpool_backward(dy, cache, 2, 2)
+        dx_ref = oracle_maxpool_backward(dy, idx_ref, x.shape, 2, 2)
+        assert np.array_equal(dx, dx_ref)
+        assert not np.signbit(dx[dx == 0.0]).any()
+
+    def test_all_zero_input_routes_to_first_offset(self):
+        x = np.zeros((2, 4, 4, 3))
+        y, cache = maxpool_forward(x, 2, 2)
+        assert (y == 0.0).all() and (cache[0] == 0).all()
+        dx = maxpool_backward(np.ones(y.shape), cache, 2, 2)
+        assert np.array_equal(dx, oracle_maxpool_backward(np.ones(y.shape), cache[0], x.shape, 2, 2))
+        assert dx[:, ::2, ::2].sum() == dx.sum() == y.size
+
+    def test_floor_crop_gets_no_gradient(self):
+        x = relu_activations(np.random.default_rng(3), (1, 7, 7, 1))
+        y, cache = maxpool_forward(x, 2, 2)
+        assert y.shape == (1, 3, 3, 1)
+        dx = maxpool_backward(np.ones(y.shape), cache, 2, 2)
+        assert (dx[:, 6, :] == 0.0).all() and (dx[:, :, 6] == 0.0).all()
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_overlapping_windows(self, n):
+        rng = np.random.default_rng(40 + n)
+        x = relu_activations(rng, (n, 11, 10, 3), zero_windows=n)
+        y, cache = maxpool_forward(x, 3, 2)
+        y_ref, idx_ref = oracle_maxpool_forward(x, 3, 2)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(cache[0], idx_ref)
+        dy = rng.standard_normal(y.shape)
+        dx = maxpool_backward(dy, cache, 3, 2)
+        # An input shared by two windows sums in another order.
+        np.testing.assert_allclose(dx, oracle_maxpool_backward(dy, idx_ref, x.shape, 3, 2), rtol=0, atol=1e-12)
+
+
+def small_cnn(seed=0):
+    specs = [conv(4, 3), relu(), maxpool(2, 2), conv(6, 3), relu(), maxpool(2, 2), flatten(), dense(8), relu(), dense(1), sigmoid()]
+    return build(specs, (11, 11, 1), seed=seed)
+
+
+def full_backprop(net, xs, ys, rows):
+    """Every layer's input and parameter gradients, as one pass computes
+    both."""
+    out, _, caches = net._run(xs, train=False, keep=True)
+    dact = (out - ys[:, None].astype(float)) / rows
+    grads = [{} for _ in net.specs]
+    for i in range(len(net.specs) - 2, -1, -1):
+        spec, params, cache = net.specs[i], net.params[i], caches[i]
+        if spec.kind == "conv":
+            dact, dw, db = conv_backward(dact, params["w"], cache, spec.stride)
+            grads[i] = {"w": dw, "b": db}
+        elif spec.kind == "relu":
+            dact = dact * cache
+        elif spec.kind == "maxpool":
+            dact = maxpool_backward(dact, cache, spec.window, spec.stride)
+        elif spec.kind == "flatten":
+            dact = dact.reshape(cache)
+        elif spec.kind == "dense":
+            grads[i] = {"w": cache.T @ dact, "b": dact.sum(axis=0)}
+            dact = dact @ params["w"].T
+    return dact, grads
+
+
+class TestPartialBackward:
+    def batch(self, n, seed=5):
+        rng = np.random.default_rng(seed)
+        return rng.random((n, 11, 11, 1)), rng.integers(0, 2, n)
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_param_gradients_match_full_pass(self, n):
+        net = small_cnn()
+        xs, ys = self.batch(n)
+        _, grads = net.param_gradients(xs, ys)
+        _, ref = full_backprop(net, xs, ys, rows=n)
+        for g, r in zip(grads, ref):
+            assert g.keys() == r.keys()
+            for k in g:
+                assert np.array_equal(g[k], r[k])
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_input_gradient_matches_full_pass(self, n):
+        net = small_cnn(seed=1)
+        xs, ys = self.batch(n, seed=6)
+        ref, _ = full_backprop(net, xs, ys, rows=1)
+        assert np.array_equal(net.input_gradient(xs, ys), ref)
+
+    def test_logit_backprop_returns_its_forward_logits(self):
+        net = small_cnn(seed=2)
+        xs, _ = self.batch(4, seed=7)
+        z, dx = net.logit_backprop(xs, np.array([1.0]))
+        assert np.array_equal(z, net.logits(xs))
+        z1, dx1 = net.logit_backprop(xs[0], np.array([1.0]))
+        assert np.array_equal(z1, net.logits(xs[0]))
+        np.testing.assert_allclose(dx1, dx[0], rtol=0, atol=1e-15)
+
+    def test_each_pass_asks_only_for_what_it_reads(self, monkeypatch):
+        calls = []
+
+        def spy(dy, w, cache, stride, need_dx=True, need_params=True):
+            calls.append((w.shape[-1], need_dx, need_params))
+            return conv_backward(dy, w, cache, stride, need_dx=need_dx, need_params=need_params)
+
+        monkeypatch.setattr(network, "conv_backward", spy)
+        net = small_cnn()
+        xs, ys = self.batch(2)
+        net.param_gradients(xs, ys)
+        assert calls == [(6, True, True), (4, False, True)]
+        calls.clear()
+        net.input_gradient(xs, ys)
+        assert calls == [(6, True, False), (4, True, False)]

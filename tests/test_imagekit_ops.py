@@ -245,6 +245,16 @@ class TestDilate:
         with pytest.raises(ValueError):
             dilate(np.zeros((4, 4), dtype=bool), np.ones((2, 2), dtype=bool))
 
+    @pytest.mark.parametrize("size", [3, 7, 15])
+    def test_mask_no_larger_than_kernel_radius(self, size):
+        # Offsets that shift the mask fully off the image touch nothing;
+        # a side at most the radius must not wrap a negative slice stop.
+        rng = np.random.default_rng(size)
+        kernel = square_kernel(size)
+        for h, w in [(1, 1), (2, 6), (6, 2), (size // 2, size // 2), (size // 2, 9)]:
+            mask = rng.random((h, w)) < 0.4
+            assert (dilate(mask, kernel) == dilate_oracle(mask, kernel)).all()
+
 
 class TestApplyMask:
     def test_full_mask_is_identity(self):
