@@ -31,7 +31,7 @@ from .errors import (
     ZeroGradientError,
     ZeroImageError,
 )
-from .imagekit import roi_mask, square_kernel
+from .imagekit import roi_mask
 from .metrics import lp_norm, perturbation_percent
 
 P_FLOOR = 1e-8  # progress floor guarding the decay-factor division
@@ -55,7 +55,6 @@ class AttackConfig:
     decay_weight: float = 0.05
     initial_decay: float = 0.5
     overshoot: float = 0.06
-    kernel_size: int = 5
     seed: int = 0
     roi_reextract: bool = False
 
@@ -156,7 +155,7 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
         adv = np.clip(adv + update, lo, hi)
         if rois is not None:
             if cfg.roi_reextract:
-                masks = np.stack([_roi_or(a, cfg, m) for a, m in zip(adv, masks)])
+                masks = np.stack([_roi_or(a, m) for a, m in zip(adv, masks)])
             rho_next = adv * masks[..., None]
             progress = roi_progress(rho_prev, rho_next)
             mu = cfg.decay_weight / np.maximum(progress, P_FLOOR)
@@ -253,7 +252,7 @@ def _attack_batch(name: str, net, xs, ys, cfg: AttackConfig, rois) -> _Outcome:
         return _deepfool(net, xs, cfg)
     if name in ROI_ATTACKS:
         if rois is None:
-            rois = np.stack([extract_roi_or_full(x, cfg) for x in xs])
+            rois = np.stack([extract_roi_or_full(x) for x in xs])
         if rois.dtype != np.bool_ or rois.shape != xs.shape[:3]:
             raise DimensionMismatchError("roi must be a boolean (H, W) mask matching x")
         if not rois.reshape(rois.shape[0], -1).any(axis=1).all():
@@ -405,16 +404,16 @@ def kryptonite_masked(net, x: np.ndarray, y, roi: np.ndarray, cfg: AttackConfig)
     return run_attack("kryptonite_masked", net, x, y, cfg, roi=roi)
 
 
-def extract_roi_or_full(x: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+def extract_roi_or_full(x: np.ndarray) -> np.ndarray:
     """Clean-image RoI mask; degenerate or contourless inputs fall back to
     the full frame so the attack still runs."""
-    return _roi_or(x, cfg, np.ones(x.shape[:2], dtype=bool))
+    return _roi_or(x, np.ones(x.shape[:2], dtype=bool))
 
 
-def _roi_or(img: np.ndarray, cfg: AttackConfig, fallback: np.ndarray) -> np.ndarray:
-    """RoI mask of img, or `fallback` when img is single-intensity or
-    binarizes to no contour."""
+def _roi_or(img: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """RoI mask of img (roi_mask's default 5x5 dilation), or `fallback`
+    when img is single-intensity or binarizes to no contour."""
     try:
-        return roi_mask(img, square_kernel(cfg.kernel_size))
+        return roi_mask(img)
     except (DegenerateImageError, NoContourError):
         return fallback

@@ -46,6 +46,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if len(self.values) == 0:
             raise ValueError("sweep values must be nonempty")
+        if self.samples < 1:
+            raise ValueError("sweep samples must be >= 1")
 
 
 @dataclass
@@ -72,7 +74,7 @@ _FIELD_TYPES = {
     "epochs": int, "batch_size": int, "learning_rate": float,
     "stop_accuracy": float,
     "epsilon": float, "iterations": int, "alpha": float, "decay_weight": float,
-    "initial_decay": float, "overshoot": float, "kernel_size": int,
+    "initial_decay": float, "overshoot": float,
     "roi_reextract": bool,
     "kind": str, "adversarial_fraction": float, "attack_name": str,
     "regenerate": str, "deflections": int, "window": int, "denoise": bool,
@@ -174,7 +176,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             samples=int(opts.get("samples", 100)),
         )
 
-    # Defence attack references must resolve against the attack roster.
+    # Sweep and defence attack references must resolve against the roster.
+    if cfg.sweep is not None:
+        for name in cfg.sweep.attacks:
+            if name not in cfg.attacks:
+                raise BadFormatError(f"[sweep]: attack {name!r} is not a configured attack")
     for name, dcfg in cfg.defences.items():
         if dcfg.kind == "adv_train":
             if dcfg.attack_name in cfg.attacks:

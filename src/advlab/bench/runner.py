@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..attacks import ROI_ATTACKS, AttackConfig, extract_roi_or_full, run_attack, run_attacks
+from ..attacks import ATTACK_NAMES, ROI_ATTACKS, AttackConfig, extract_roi_or_full, run_attack, run_attacks
 from ..errors import ZeroGradientError
-from ..defences import DefenceConfig, adversarial_train, distill, gradient_saliency, pixel_deflect
+from ..defences import adversarial_train, distill, gradient_saliency, pixel_deflect
 from ..gradnet import (
     build,
     conv,
@@ -65,7 +65,6 @@ class TrialData:
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    test_rois: np.ndarray | None
 
 
 def prepare_trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
@@ -74,16 +73,10 @@ def prepare_trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
         loaded = load_dataset(ds.manifest)
         tr = loaded.split_indices["train"]
         te = loaded.split_indices["test"]
-        return TrialData(
-            loaded.images[tr],
-            loaded.labels[tr],
-            loaded.images[te],
-            loaded.labels[te],
-            loaded.rois[te] if loaded.rois is not None else None,
-        )
-    images, labels, rois = generate_images(ds.n, ds.size, seed=ds.seed + trial)
+        return TrialData(loaded.images[tr], loaded.labels[tr], loaded.images[te], loaded.labels[te])
+    images, labels, _ = generate_images(ds.n, ds.size, seed=ds.seed + trial)
     k = int(round(ds.train_fraction * ds.n))
-    return TrialData(images[:k], labels[:k], images[k:], labels[k:], rois[k:])
+    return TrialData(images[:k], labels[:k], images[k:], labels[k:])
 
 
 def train_network(cfg: ExperimentConfig, data: TrialData, trial: int):
@@ -94,25 +87,29 @@ def train_network(cfg: ExperimentConfig, data: TrialData, trial: int):
     return net
 
 
-def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, masks: dict, transform=None) -> dict:
+def clean_rois(roster: dict, xs) -> np.ndarray | None:
+    """The clean-image RoI masks (N, H, W) of xs, extracted once for every
+    RoI-guided attack of `roster` (name -> (kind, AttackConfig)) to
+    share; None when it holds none."""
+    if not any(kind in ROI_ATTACKS for kind, _ in roster.values()):
+        return None
+    return np.stack([extract_roi_or_full(x) for x in xs])
+
+
+def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, rois, transform=None) -> dict:
     """Attack every sample in one batched call, pass each adversarial
-    through `transform` when given, and score the batch. `masks` holds
-    the clean-image RoI masks of xs per kernel size, filled on first use."""
-    rois = None
-    if kind in ROI_ATTACKS:
-        if acfg.kernel_size not in masks:
-            masks[acfg.kernel_size] = np.stack([extract_roi_or_full(x, acfg) for x in xs])
-        rois = masks[acfg.kernel_size]
+    through `transform` when given, and score the batch. The keys are
+    ReportRow fields."""
     results = run_attacks(kind, net, xs, ys, acfg, rois=rois)
     advs = [r.adversarial if transform is None else transform(r.adversarial) for r in results]
     acc, auc = _clean_stats(net, np.stack(advs), ys)
     kept = [r.l2_percent for r in results if not math.isnan(r.l2_percent)]
     return {
-        "accuracy": acc,
-        "auc": auc,
-        "pert_mean": float(np.mean(kept)) if kept else math.nan,
-        "pert_worst": float(np.max(kept)) if kept else math.nan,
-        "sec_per_sample": float(np.mean([r.elapsed for r in results])),
+        "accuracy_under_attack": acc,
+        "roc_auc": auc,
+        "pert_mean_percent": float(np.mean(kept)) if kept else math.nan,
+        "pert_worst_percent": float(np.max(kept)) if kept else math.nan,
+        "seconds_per_sample": float(np.mean([r.elapsed for r in results])),
     }
 
 
@@ -121,88 +118,55 @@ def _clean_stats(net, xs, ys) -> tuple[float, float]:
     return accuracy(preds, ys), roc_auc(scores, ys)
 
 
+def _attacked_models(cfg: ExperimentConfig, data: TrialData, net, trial: int):
+    """(defence name, model, input transform) of each model a trial
+    attacks: the undefended net first, named None, then every defence,
+    built only when reached."""
+    yield None, net, None
+    for dname, dcfg in cfg.defences.items():
+        dcfg = replace(dcfg, seed=dcfg.seed + trial, train=replace(dcfg.train, seed=dcfg.train.seed + trial))
+        if dcfg.kind == "adv_train":
+            yield dname, adversarial_train(net, (data.train_x, data.train_y), dcfg)[0], None
+        elif dcfg.kind == "distill":
+            specs, shape = network_specs(cfg.network.arch, data.train_x.shape[1], cfg.network.scale)
+            yield dname, distill(specs, shape, (data.train_x, data.train_y), dcfg)[0], None
+        else:  # pixel_deflect: the undefended net behind a saliency-guided input transform
+            yield dname, net, lambda img, d=dcfg: pixel_deflect(img, gradient_saliency(net, img), d)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
-    """Full protocol: per trial, train, run every attack, then every
-    defence against every attack; append mean rows (trial = -1)."""
+    """Full protocol: per trial, train, then run every attack against the
+    undefended model and against every defence; append mean rows
+    (trial = -1)."""
     rows: list[ReportRow] = []
     net_id = f"{cfg.network.arch}x{cfg.network.scale:g}"
     for trial in range(cfg.trials):
         data = prepare_trial_data(cfg, trial)
+        xs, ys = data.test_x, data.test_y
         net = train_network(cfg, data, trial)
-        masks: dict = {}
-        clean_acc, clean_auc = _clean_stats(net, data.test_x, data.test_y)
-        rows.append(
-            ReportRow(
-                row="clean",
-                network=net_id,
-                trial=trial,
-                clean_accuracy=clean_acc,
-                roc_auc=clean_auc,
-            )
-        )
-        for name, (kind, acfg) in cfg.attacks.items():
-            acfg_t = replace(acfg, seed=acfg.seed + trial)
-            stats = _attack_stats(net, kind, acfg_t, data.test_x, data.test_y, masks)
-            rows.append(
-                ReportRow(
-                    row="attack",
-                    network=net_id,
-                    attack=name,
-                    trial=trial,
-                    clean_accuracy=clean_acc,
-                    accuracy_under_attack=stats["accuracy"],
-                    roc_auc=stats["auc"],
-                    pert_mean_percent=stats["pert_mean"],
-                    pert_worst_percent=stats["pert_worst"],
-                    seconds_per_sample=stats["sec_per_sample"],
+        rois = clean_rois(cfg.attacks, xs)
+        for dname, model, transform in _attacked_models(cfg, data, net, trial):
+            clean = xs if transform is None else np.stack([transform(x) for x in xs])
+            clean_acc, clean_auc = _clean_stats(model, clean, ys)
+            if dname is None:
+                rows.append(ReportRow(row="clean", network=net_id, trial=trial, clean_accuracy=clean_acc, roc_auc=clean_auc))
+            for aname, (kind, acfg) in cfg.attacks.items():
+                stats = _attack_stats(model, kind, replace(acfg, seed=acfg.seed + trial), xs, ys, rois, transform)
+                if dname is not None:  # defence rows report accuracy and AUC only
+                    stats = {k: stats[k] for k in ("accuracy_under_attack", "roc_auc")}
+                rows.append(
+                    ReportRow(
+                        row="attack" if dname is None else "defence",
+                        network=net_id,
+                        attack=aname,
+                        defence=dname,
+                        trial=trial,
+                        clean_accuracy=clean_acc,
+                        **stats,
+                    )
                 )
-            )
-        for dname, dcfg in cfg.defences.items():
-            rows.extend(
-                _defence_rows(cfg, dcfg, dname, net_id, net, data, trial, masks)
-            )
     rows.extend(mean_rows(rows))
     return rows
-
-
-def _defence_rows(cfg, dcfg: DefenceConfig, dname, net_id, net, data: TrialData, trial, masks: dict):
-    dcfg_t = replace(dcfg, seed=dcfg.seed + trial, train=replace(dcfg.train, seed=dcfg.train.seed + trial))
-    transform = None
-    if dcfg.kind == "adv_train":
-        target, _ = adversarial_train(net, (data.train_x, data.train_y), dcfg_t)
-        d_clean, _ = _clean_stats(target, data.test_x, data.test_y)
-    elif dcfg.kind == "distill":
-        specs, shape = network_specs(cfg.network.arch, data.train_x.shape[1], cfg.network.scale)
-        target, _ = distill(specs, shape, (data.train_x, data.train_y), dcfg_t)
-        d_clean, _ = _clean_stats(target, data.test_x, data.test_y)
-    elif dcfg.kind == "pixel_deflect":
-        target = net
-
-        def transform(img):
-            sal = gradient_saliency(net, img)
-            return pixel_deflect(img, sal, dcfg_t)
-
-        d_clean, _ = _clean_stats(net, np.stack([transform(x) for x in data.test_x]), data.test_y)
-    else:
-        raise ValueError(f"unknown defence kind {dcfg.kind!r}")
-
-    out = []
-    for aname, (kind, acfg) in cfg.attacks.items():
-        acfg_t = replace(acfg, seed=acfg.seed + trial)
-        stats = _attack_stats(target, kind, acfg_t, data.test_x, data.test_y, masks, transform)
-        out.append(
-            ReportRow(
-                row="defence",
-                network=net_id,
-                attack=aname,
-                defence=dname,
-                trial=trial,
-                clean_accuracy=d_clean,
-                accuracy_under_attack=stats["accuracy"],
-                roc_auc=stats["auc"],
-            )
-        )
-    return out
 
 
 def mean_rows(rows: list[ReportRow]) -> list[ReportRow]:
@@ -231,6 +195,10 @@ def mean_rows(rows: list[ReportRow]) -> list[ReportRow]:
     return out
 
 
+# The attack kinds a sweep axis applies to; epsilon applies to every kind.
+_AXIS_KINDS = {"decay_weight": ROI_ATTACKS, "overshoot": ("deepfool",)}
+
+
 def sweep(cfg: ExperimentConfig, spec: SweepSpec | None = None) -> list[dict]:
     """One (attack, value, ROC-AUC) record per grid point.
 
@@ -246,20 +214,16 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec | None = None) -> list[dict]:
     take = min(spec.samples, data.test_x.shape[0])
     xs, ys = data.test_x[:take], data.test_y[:take]
 
-    roster = spec.attacks or tuple(cfg.attacks)
-    masks: dict = {}
+    wanted = _AXIS_KINDS.get(spec.axis, ATTACK_NAMES)
+    roster = {name: cfg.attacks[name] for name in spec.attacks or cfg.attacks if cfg.attacks[name][0] in wanted}
+    rois = clean_rois(roster, xs)
     records = []
-    for name in roster:
-        kind, acfg = cfg.attacks[name]
-        if spec.axis == "decay_weight" and kind not in ROI_ATTACKS:
-            continue
-        if spec.axis == "overshoot" and kind != "deepfool":
-            continue
+    for name, (kind, acfg) in roster.items():
         for value in spec.values:
             acfg_v = replace(acfg, **{spec.axis: float(value)})
-            stats = _attack_stats(net, kind, acfg_v, xs, ys, masks)
+            stats = _attack_stats(net, kind, acfg_v, xs, ys, rois)
             records.append(
-                {"attack": name, "axis": spec.axis, "value": float(value), "roc_auc": stats["auc"]}
+                {"attack": name, "axis": spec.axis, "value": float(value), "roc_auc": stats["roc_auc"]}
             )
     return records
 
@@ -285,8 +249,8 @@ def time_attacks(cfg: ExperimentConfig, samples: int = 50) -> dict[str, float]:
     throughput instead.
 
     RoI masks are an input of the RoI-guided attacks, so they are
-    extracted before the clock starts, as run_experiment extracts them
-    once per image.
+    extracted once (clean_rois) before the clock starts, as
+    run_experiment extracts them once per trial.
 
     The attacks take turns on each sample instead of each running as one
     block, so a change in the host's speed during the run lands on every
@@ -295,7 +259,7 @@ def time_attacks(cfg: ExperimentConfig, samples: int = 50) -> dict[str, float]:
     data = prepare_trial_data(cfg, 0)
     net = train_network(cfg, data, 0)
     xs, ys = data.test_x[:samples], data.test_y[:samples]
-    rois = [extract_roi_or_full(xs[i], AttackConfig(epsilon=1.0)) for i in range(xs.shape[0])]
+    rois = clean_rois(cfg.attacks, xs)
     totals = dict.fromkeys(cfg.attacks, 0.0)
     for i in range(xs.shape[0]):
         for name, (kind, acfg) in cfg.attacks.items():

@@ -20,6 +20,7 @@ from .bench.config import parse_config
 from .bench.dataset import synth_dataset
 from .bench.report import emit_report
 from .bench.runner import (
+    clean_rois,
     prepare_trial_data,
     run_experiment,
     sweep,
@@ -87,8 +88,9 @@ def cmd_attack(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     records = []
     xs, ys = data.test_x[: args.samples], data.test_y[: args.samples]
+    rois = clean_rois(cfg.attacks, xs)
     for name, (kind, acfg) in cfg.attacks.items():
-        results = run_attacks(kind, net, xs, ys, acfg)
+        results = run_attacks(kind, net, xs, ys, acfg, rois=rois)
         preds = net.predict(np.stack([r.adversarial for r in results]))
         for i, (res, pred) in enumerate(zip(results, preds)):
             records.append(

@@ -20,9 +20,12 @@ from .gradnet.network import Network
 from .imagekit import validate_image
 
 
+DEFENCE_KINDS = ("adv_train", "pixel_deflect", "distill")
+
+
 @dataclass
 class DefenceConfig:
-    kind: str = "adv_train"  # adv_train | pixel_deflect | distill
+    kind: str = "adv_train"
     adversarial_fraction: float = 0.65
     attack_name: str = "fgsm"
     attack: AttackConfig = field(default_factory=lambda: AttackConfig(epsilon=0.1))
@@ -35,6 +38,8 @@ class DefenceConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        if self.kind not in DEFENCE_KINDS:
+            raise ValueError(f"unknown defence kind {self.kind!r}; choose from {DEFENCE_KINDS}")
         if not 0.0 <= self.adversarial_fraction <= 1.0:
             raise ValueError("adversarial fraction must lie in [0, 1]")
         if self.deflections < 0:

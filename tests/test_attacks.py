@@ -343,14 +343,14 @@ class TestKryptoniteMasked:
 
 class TestRoiFallback:
     def test_constant_image_falls_back_to_full_frame(self):
-        mask = extract_roi_or_full(np.full((8, 8, 1), 0.4), AttackConfig())
+        mask = extract_roi_or_full(np.full((8, 8, 1), 0.4))
         assert mask.dtype == np.bool_ and mask.all() and mask.shape == (8, 8)
 
     def test_out_of_range_image_raises(self):
         img = np.full((8, 8, 1), 0.4)
         img[2:5, 2:5] = 1.5
         with pytest.raises(ValueError, match="outside"):
-            extract_roi_or_full(img, AttackConfig())
+            extract_roi_or_full(img)
 
 
 class TestBallFuzz:

@@ -17,7 +17,9 @@ from advlab.bench import (
     parse_config,
     synth_dataset,
 )
+from advlab.bench.config import SweepSpec
 from advlab.bench.runner import mean_rows
+from advlab.defences import DefenceConfig
 from advlab.errors import BadFormatError, BadLabelError, IoError, MissingFileError
 from advlab.imagekit import roi_mask, square_kernel
 
@@ -172,6 +174,28 @@ class TestConfig:
         p = tmp_path / "bad.ini"
         p.write_text("[attack.warp]\nepsilon = 0.1\n")
         with pytest.raises(BadFormatError, match="warp"):
+            parse_config(p)
+
+    def test_sweep_roster_names_configured_attacks(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace("attacks = fgsm", "attacks = fgsm, pgd"))
+        with pytest.raises(BadFormatError, match="pgd"):
+            parse_config(p)
+
+    def test_sweep_samples_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="samples"):
+            SweepSpec(values=(0.1,), samples=0)
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace("samples = 10", "samples = 0"))
+        with pytest.raises(ValueError, match="samples"):
+            parse_config(p)
+
+    def test_unknown_defence_kind(self, tmp_path):
+        with pytest.raises(ValueError, match="jpeg"):
+            DefenceConfig(kind="jpeg")
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT + "\n[defence.jpeg]\nseed = 1\n")
+        with pytest.raises(ValueError, match="unknown defence kind 'jpeg'"):
             parse_config(p)
 
     def test_missing_file(self, tmp_path):

@@ -96,7 +96,8 @@ class TestCli:
         from advlab.gradnet import Network
 
         p = tmp_path / "mi.ini"
-        p.write_text(SMALL_CONFIG.replace("[attack.fgsm]", "[attack.mifgsm]\niterations = 2"))
+        # Without [sweep], whose roster names fgsm.
+        p.write_text(SMALL_CONFIG.split("[sweep]")[0].replace("[attack.fgsm]", "[attack.mifgsm]\niterations = 2"))
         cfg = parse_config(p)
         data = prepare_trial_data(cfg, 0)
         clean_preds = train_network(cfg, data, 0).predict(data.test_x[:2])
@@ -115,6 +116,22 @@ class TestCli:
         csv_text = (out / "clismoke_sweep_epsilon.csv").read_text()
         assert csv_text.splitlines()[0] == "attack,axis,value,roc_auc"
         assert len(csv_text.splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("sweep", ("attacks = fgsm", "attacks = pgd")),  # no [attack.pgd]
+            ("defend", ("[sweep]", "[defence.jpeg]\nseed = 1\n\n[sweep]")),  # no kind, not a defence
+        ],
+    )
+    def test_config_errors_exit_before_training(self, tmp_path, monkeypatch, capsys, command, edit):
+        from advlab.bench import runner
+
+        monkeypatch.setattr(runner, "train_network", lambda *a: pytest.fail("trained before the config error"))
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace(*edit))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "advlab: error:" in capsys.readouterr().err
 
     def test_report_writes_csv_and_json(self, tmp_path, config_file):
         out = tmp_path / "report"

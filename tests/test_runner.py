@@ -89,6 +89,16 @@ class TestRunExperiment:
             if not math.isnan(r.seconds_per_sample):
                 assert r.seconds_per_sample >= 0.0
 
+    def test_only_attack_rows_carry_perturbation_and_timing(self, tiny_rows):
+        columns = ("pert_mean_percent", "pert_worst_percent", "seconds_per_sample")
+        assert {r.row for r in tiny_rows} == {"clean", "attack", "defence"}
+        for r in tiny_rows:
+            values = [getattr(r, c) for c in columns]
+            if r.row == "attack":
+                assert not any(math.isnan(v) for v in values), r
+            else:
+                assert all(math.isnan(v) for v in values), r
+
     def test_null_attack_equals_clean(self, tmp_path):
         cfg_text = TINY.replace("epsilon = 0.08", "epsilon = 0.0").split("[defence.adv_train]")[0]
         p = tmp_path / "null.ini"
@@ -135,6 +145,42 @@ class TestRunExperiment:
             assert (res.linf, res.l2_percent, res.iterations_used, res.success) == (0.0, 0.0, 0, False)
         defence = next(r for r in rows if r.row == "defence" and r.trial == 0)
         assert 0.0 <= defence.accuracy_under_attack <= 1.0
+
+
+class TestRoiExtraction:
+    ROI_ROSTER = (
+        TINY.split("[defence.adv_train]")[0]
+        + "\n[attack.kryptonite_masked]\nepsilon = 0.08\niterations = 3\ndecay_weight = 0.02\n"
+        + "\n[defence.pixel_deflect]\nkind = pixel_deflect\ndeflections = 10\nwindow = 2\n"
+    )
+
+    def _roi_mask_calls(self, tmp_path, monkeypatch, text):
+        import advlab.attacks as attacks
+
+        calls = []
+        real = attacks.roi_mask
+        monkeypatch.setattr(attacks, "roi_mask", lambda img, *a, **k: calls.append(1) or real(img, *a, **k))
+        p = tmp_path / "roi.ini"
+        p.write_text(text)
+        cfg = parse_config(p)
+        run_experiment(cfg)
+        return len(calls), cfg
+
+    def test_once_per_test_image_per_trial(self, tmp_path, monkeypatch):
+        from advlab.bench import runner
+
+        calls, cfg = self._roi_mask_calls(tmp_path, monkeypatch, self.ROI_ROSTER)
+        n_test = runner.prepare_trial_data(cfg, 0).test_x.shape[0]
+        assert {kind for kind, _ in cfg.attacks.values()} == {"fgsm", "kryptonite", "kryptonite_masked"}
+        assert list(cfg.defences) == ["pixel_deflect"]
+        assert calls == cfg.trials * n_test
+
+    def test_none_without_a_roi_guided_attack(self, tmp_path, monkeypatch):
+        text = self.ROI_ROSTER.replace("[attack.kryptonite]", "[attack.ifgsm]")
+        text = text.replace("[attack.kryptonite_masked]", "[attack.mifgsm]")
+        calls, cfg = self._roi_mask_calls(tmp_path, monkeypatch, text)
+        assert {kind for kind, _ in cfg.attacks.values()} == {"fgsm", "ifgsm", "mifgsm"}
+        assert calls == 0
 
 
 class TestSweep:
