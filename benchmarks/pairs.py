@@ -12,6 +12,14 @@ every pair, the `env` line of the first run (nproc, numpy, BLAS), and
 per side the median and quartiles of each end-to-end metric, plus the
 number of pairs each side won per metric. Each invocation appends one batch under
 its workload's key, so a file keeps every batch run for it.
+
+Each metric also gets two verdicts, which the script prints at the end:
+`claimable` when the change won at least 9 in 10 of at least 10 pairs and
+its median beats the parent's by more than the parent's quartile
+distance, and `beyond_bound` when the change's median is worse than the
+parent's by more than the metric's bound in BENCHMARK.json, taken as a
+share of the parent's median. The script reads BENCHMARK.json and never
+writes it.
 """
 
 from __future__ import annotations
@@ -24,7 +32,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BETTER = {"setup_s": "lower", "wall_s": "lower", "items_per_s": "higher", "peak_rss_mb": "lower", "fidelity": "higher", "ok_ratio": "higher"}
+MIN_CLAIM_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
+
+
+def end_to_end_metrics(path: Path = ROOT / "BENCHMARK.json") -> dict[str, dict]:
+    """BENCHMARK.json's end-to-end metrics by name: better, bound, unit."""
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -52,16 +66,39 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list[dict]) -> dict:
-    out = {"parent": {}, "change": {}, "change_wins": {}}
-    for name, better in BETTER.items():
+def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    out = {"parent": {}, "change": {}, "change_wins": {}, "claimable": {}, "beyond_bound": {}}
+    for name, metric in metrics.items():
         sides = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in ("parent", "change")}
         for s, values in sides.items():
             out[s][name] = quartiles(values)
-        sign = 1 if better == "higher" else -1
-        out["change_wins"][name] = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
+        parent = out["parent"][name]
+        gain = sign * (out["change"][name]["median"] - parent["median"])
+        out["change_wins"][name] = wins
+        out["claimable"][name] = (
+            len(pairs) >= MIN_CLAIM_PAIRS
+            and wins >= CLAIM_WIN_SHARE * len(pairs)
+            and gain > parent["q3"] - parent["q1"]
+        )
+        out["beyond_bound"][name] = -gain > metric["bound"] * abs(parent["median"])
     out["pairs"] = len(pairs)
     return out
+
+
+def verdicts(workload: str, summary: dict) -> list[str]:
+    """One line per metric: medians, wins and both verdicts."""
+    lines = []
+    for name, wins in summary["change_wins"].items():
+        p, c = summary["parent"][name], summary["change"][name]
+        lines.append(
+            f"{workload} {name}: median {p['median']:.4g} -> {c['median']:.4g}"
+            f" (parent quartiles {p['q1']:.4g}-{p['q3']:.4g}), change won {wins} of {summary['pairs']};"
+            f" claimable {'yes' if summary['claimable'][name] else 'no'},"
+            f" beyond bound {'YES' if summary['beyond_bound'][name] else 'no'}"
+        )
+    return lines
 
 
 def main(argv=None) -> int:
@@ -86,10 +123,12 @@ def main(argv=None) -> int:
         pairs.append(pair)
         got = {s: pair[s]["metrics"]["items_per_s"]["value"] for s in ("parent", "change")}
         print(f"{args.workload} seed {seed}: items_per_s parent {got['parent']:.4g} change {got['change']:.4g}", flush=True)
+    summary = summarise(pairs, end_to_end_metrics())
     bench.setdefault("env", env)
-    bench.setdefault(args.workload, []).append({"pairs": pairs, "summary": summarise(pairs)})
+    bench.setdefault(args.workload, []).append({"pairs": pairs, "summary": summary})
     out_path.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"{len(pairs)} pairs -> {out_path}")
+    print("\n".join(verdicts(args.workload, summary)))
     return 0
 
 

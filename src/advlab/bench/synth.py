@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..imagekit import dilate, square_kernel
-
 
 def _ellipse_mask(size: int, center, axes, theta: float) -> np.ndarray:
     yy, xx = np.mgrid[0:size, 0:size].astype(float)
@@ -19,6 +17,13 @@ def _ellipse_mask(size: int, center, axes, theta: float) -> np.ndarray:
     u = dx * c + dy * s
     v = -dx * s + dy * c
     return (u / axes[1]) ** 2 + (v / axes[0]) ** 2 <= 1.0
+
+
+def _clear_of(blob: np.ndarray, r: int, c: int) -> bool:
+    """True when the 15x15 window centred on (r, c), clipped at the image
+    edge, holds no blob pixel: `not dilate(blob, square_kernel(15))[r, c]`
+    at one pixel."""
+    return not blob[max(r - 7, 0) : r + 8, max(c - 7, 0) : c + 8].any()
 
 
 def generate_images(n: int, size: int = 32, seed: int = 0):
@@ -58,14 +63,14 @@ def generate_images(n: int, size: int = 32, seed: int = 0):
         blob = _ellipse_mask(size, center, axes, theta)
         img[blob] = rng.uniform(0.72, 0.90)
 
-        # Distractor spots, identically distributed for both classes and
-        # kept clear of the blob so dilation cannot bridge them into it.
-        clearance = dilate(blob, square_kernel(15))
+        # Distractor spots, identically distributed for both classes. Each
+        # centre has no blob pixel in the 15x15 window around it, so
+        # roi_mask's dilation cannot bridge a spot into the blob.
         for _ in range(int(rng.integers(2, 4))):
             spot = None
             for _attempt in range(20):
                 d_center = rng.uniform(2, size - 3, size=2)
-                if not clearance[int(d_center[0]), int(d_center[1])]:
+                if _clear_of(blob, int(d_center[0]), int(d_center[1])):
                     d_axes = rng.uniform(1.2, 2.2, size=2)
                     spot = _ellipse_mask(size, d_center, d_axes, rng.uniform(0, np.pi)) & ~blob
                     break

@@ -13,6 +13,9 @@ and records, per output, the first offset that holds the max, which is
 the element `argmax` over the window would pick (ties are common: ReLU
 leaves all-zero windows). The backward adds each offset's share of dy
 into the matching strided view of dx, with no scatter index arrays.
+
+An inference forward keeps no backward state: with `keep=False` the
+pooling forward builds no offset index and returns no cache.
 """
 
 from __future__ import annotations
@@ -100,7 +103,8 @@ def conv_forward(x, w, b, pad, stride):
     kh, kw, cin, f = w.shape
     if pad == "same":
         p = kh // 2
-        xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+        xp = np.zeros((n, h + 2 * p, wd + 2 * p, cin), dtype=x.dtype)
+        xp[:, p : p + h, p : p + wd] = x
     else:
         p = 0
         xp = x
@@ -109,7 +113,8 @@ def conv_forward(x, w, b, pad, stride):
     cols = np.ascontiguousarray(view.transpose(0, 1, 2, 4, 5, 3)).reshape(
         n, oh, ow, kh * kw * cin
     )
-    y = cols @ w.reshape(-1, f) + b
+    y = cols @ w.reshape(-1, f)
+    y += b
     cache = (cols, x.shape, xp.shape, p)
     return y, cache
 
@@ -148,13 +153,16 @@ def _window_views(a, window, stride, oh, ow):
     ]
 
 
-def maxpool_forward(x, window, stride):
+def maxpool_forward(x, window, stride, keep=True):
+    """(y, cache) of a max-pool layer; without keep the cache is None."""
     _, h, w, _ = x.shape
     oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
     views = _window_views(x, window, stride, oh, ow)
     y = views[0].copy()
     for view in views[1:]:
         np.maximum(y, view, out=y)
+    if not keep:
+        return y, None
     # Scan the offsets backwards so the first offset holding the max wins.
     idx = np.full(y.shape, len(views) - 1, dtype=np.intp)
     for k in range(len(views) - 2, -1, -1):

@@ -132,11 +132,16 @@ class Network:
         )
 
     def _run(self, xb: np.ndarray, train: bool, keep: bool):
-        """Forward pass; returns (head output, logits, caches)."""
+        """Forward pass; returns (head output, logits, caches).
+
+        Without keep it is an inference forward and keeps no backward
+        state: no ReLU mask or pooling index is built, and every cache
+        is None.
+        """
         act = xb
         caches = []
         for spec, params in zip(self.specs[:-1], self.params[:-1]):
-            act, cache = self._layer_forward(spec, params, act, train)
+            act, cache = self._layer_forward(spec, params, act, train, keep)
             caches.append(cache if keep else None)
         z = act
         if self.specs[-1].kind == "sigmoid":
@@ -145,14 +150,14 @@ class Network:
             out = softmax_with_temperature(z, self.specs[-1].temperature)
         return out, z, caches
 
-    def _layer_forward(self, spec, params, act, train):
+    def _layer_forward(self, spec, params, act, train, keep):
         k = spec.kind
         if k == "conv":
             return conv_forward(act, params["w"], params["b"], spec.pad, spec.stride)
         if k == "relu":
-            return np.maximum(act, 0.0), act > 0
+            return np.maximum(act, 0.0), (act > 0 if keep else None)
         if k == "maxpool":
-            return maxpool_forward(act, spec.window, spec.stride)
+            return maxpool_forward(act, spec.window, spec.stride, keep=keep)
         if k == "dropout":
             return dropout_forward(act, spec.rate, self.rng, train)
         if k == "flatten":

@@ -19,9 +19,10 @@ from advlab.bench import (
 )
 from advlab.bench.config import SweepSpec
 from advlab.bench.runner import mean_rows
+from advlab.bench.synth import _clear_of, _ellipse_mask
 from advlab.defences import DefenceConfig
 from advlab.errors import BadFormatError, BadLabelError, IoError, MissingFileError
-from advlab.imagekit import roi_mask, square_kernel
+from advlab.imagekit import dilate, roi_mask, square_kernel
 
 
 class TestGenerator:
@@ -53,6 +54,23 @@ class TestGenerator:
             generate_images(2, 32)
         with pytest.raises(ValueError):
             generate_images(10, 16)
+
+
+class TestClearance:
+    @pytest.mark.parametrize("size", [32, 48])
+    def test_window_lookup_equals_dilated_mask(self, size):
+        rng = np.random.default_rng(size)
+        cut = 0
+        for _ in range(150):
+            # Centres up to a quarter side outside the frame cut many blobs.
+            center = rng.uniform(-size / 4, 5 * size / 4, size=2)
+            axes = rng.uniform(1.0, 0.4 * size, size=2)
+            blob = _ellipse_mask(size, center, axes, rng.uniform(0.0, np.pi))
+            cut += bool(blob[0].any() or blob[-1].any() or blob[:, 0].any() or blob[:, -1].any())
+            ref = dilate(blob, square_kernel(15))
+            got = np.array([[_clear_of(blob, r, c) for c in range(size)] for r in range(size)])
+            assert np.array_equal(got, ~ref)
+        assert cut >= 50
 
 
 class TestDatasetFiles:

@@ -1,13 +1,16 @@
-"""Max-pooling kernels against the argmax/np.add.at formulation, and the
-partial backward passes against a full one."""
+"""Max-pooling kernels against the argmax/np.add.at formulation, the
+partial backward passes against a full one, and inference forwards
+against training ones."""
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import advlab.gradnet.network as network
+from advlab.bench.runner import network_specs
 from advlab.gradnet import build, conv, dense, flatten, maxpool, relu, sigmoid
 from advlab.gradnet.layers import conv_backward, maxpool_backward, maxpool_forward
+from advlab.gradnet.train import evaluate
 
 
 def oracle_maxpool_forward(x, window, stride):
@@ -159,3 +162,44 @@ class TestPartialBackward:
         calls.clear()
         net.input_gradient(xs, ys)
         assert calls == [(6, True, False), (4, True, False)]
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("n", [1, 16, 256])
+    def test_no_cache_forward_is_bit_identical(self, n):
+        specs, shape = network_specs("blob_cnn", 32, 0.75)
+        net = build(specs, shape, seed=3)
+        xs = np.random.default_rng(n).random((n, *shape))
+        out, z, caches = net._run(xs, train=False, keep=False)
+        out_ref, z_ref, caches_ref = net._run(xs, train=False, keep=True)
+        assert np.array_equal(out, out_ref) and np.array_equal(z, z_ref)
+        assert all(c is None for c in caches) and all(c is not None for c in caches_ref)
+
+    def test_only_backward_passes_ask_for_the_pooling_index(self, monkeypatch):
+        calls = []
+
+        def spy(x, window, stride, keep=True):
+            calls.append(keep)
+            return maxpool_forward(x, window, stride, keep=keep)
+
+        monkeypatch.setattr(network, "maxpool_forward", spy)
+        net = small_cnn()
+        rng = np.random.default_rng(8)
+        xs, ys = rng.random((4, 11, 11, 1)), rng.integers(0, 2, 4)
+        inference = {
+            "forward": lambda: net.forward(xs),
+            "predict": lambda: net.predict(xs),
+            "predict_and_score": lambda: net.predict_and_score(xs),
+            "loss_and_predict": lambda: net.loss_and_predict(xs, ys),
+            "evaluate": lambda: evaluate(net, xs, ys),
+        }
+        backward = {
+            "param_gradients": lambda: net.param_gradients(xs, ys),
+            "input_gradient": lambda: net.input_gradient(xs, ys),
+            "logit_backprop": lambda: net.logit_backprop(xs, np.array([1.0])),
+        }
+        for passes, keep in ((inference, False), (backward, True)):
+            for name, run in passes.items():
+                calls.clear()
+                run()
+                assert calls == [keep, keep], name
