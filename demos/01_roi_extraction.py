@@ -3,8 +3,9 @@
 
 Generates one synthetic lesion image, then shows what each step of the
 pipeline does: grayscale quantization, automatic thresholding, dilation,
-border tracing with hierarchy, and the filled mask. Artifacts land in
-demo_out/ as PGM files you can open with any image viewer.
+border tracing with hierarchy, hole filling, and the final mask.
+Artifacts land in demo_out/ as PGM files you can open with any image
+viewer.
 """
 
 from pathlib import Path
@@ -14,9 +15,10 @@ import numpy as np
 from advlab.bench import generate_images
 from advlab.imagekit import (
     binarize,
-    build_region_tree,
     compute_histogram,
     dilate,
+    fill_holes,
+    fill_outer_contour,
     otsu_threshold,
     roi_mask,
     square_kernel,
@@ -57,9 +59,15 @@ for c in contours:
     parent = f" parent={c.parent}" if c.parent else ""
     print(f"  contour {c.label}: {c.kind}, {len(c.points)} points{parent}")
 
-# 5. pick the largest enclosed region
-tree = build_region_tree(grown)
-print(f"components: {tree.n_components}, enclosed areas: {tree.enclosed_counts}")
+# 5. fill every hole: a component and everything it encloses become one
+# 8-connected component of the filled mask; the largest one is the RoI
+filled = fill_holes(grown)
+areas = {
+    c.label: int(fill_outer_contour(grown, c).sum())
+    for c in contours
+    if c.kind == "outer" and c.parent is None
+}
+print(f"filled: {int(filled.sum())} px, enclosed area per top-level contour: {areas}")
 
 mask = roi_mask(img, square_kernel(5))
 write_mask(out / "roi_mask.pgm", mask)

@@ -169,6 +169,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             cfg.defences[name] = dcfg
     if parser.has_section("sweep"):
         opts = dict(parser.items("sweep"))
+        unknown = sorted(opts.keys() - {"axis", "values", "attacks", "samples"})
+        if unknown:
+            raise BadFormatError(f"[sweep]: unknown options {unknown}")
         cfg.sweep = SweepSpec(
             axis=opts.get("axis", "epsilon"),
             values=_values_tuple(opts.get("values", "")),

@@ -30,7 +30,7 @@ from ..gradnet import (
 from ..metrics import accuracy, roc_auc
 from .config import ExperimentConfig, SweepSpec
 from .dataset import load_dataset
-from .report import ReportRow
+from .report import COLUMNS, ReportRow
 from .synth import generate_images
 
 
@@ -177,17 +177,9 @@ def mean_rows(rows: list[ReportRow]) -> list[ReportRow]:
             continue
         groups.setdefault((r.row, r.attack, r.defence, r.network), []).append(r)
     out = []
-    numeric = (
-        "clean_accuracy",
-        "accuracy_under_attack",
-        "roc_auc",
-        "pert_mean_percent",
-        "pert_worst_percent",
-        "seconds_per_sample",
-    )
     for (row, attack, defence, network), members in groups.items():
         agg = ReportRow(row=row, network=network, attack=attack, defence=defence, trial=-1)
-        for name in numeric:
+        for name in COLUMNS[5:]:
             vals = [getattr(m, name) for m in members if not math.isnan(getattr(m, name))]
             if vals:
                 setattr(agg, name, float(np.mean(vals)))

@@ -9,7 +9,7 @@ T, and evaluates the student at T = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,12 +158,7 @@ def distill(
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys)
     soft_specs = promote_to_softmax(list(specs), temperature=cfg.temperature)
-    train_cfg = TrainConfig(
-        epochs=cfg.train.epochs,
-        batch_size=cfg.train.batch_size,
-        learning_rate=cfg.train.learning_rate,
-        seed=cfg.train.seed,
-    )
+    train_cfg = replace(cfg.train, stop_accuracy=None)
     teacher = build(soft_specs, input_shape, seed=cfg.train.seed)
     train(teacher, (xs, ys.astype(int)), train_cfg)
     # In evaluate's chunks: one forward over the whole set is where a

@@ -314,9 +314,7 @@ class Network:
 
     def param_gradients(self, xs: np.ndarray, ys) -> tuple[float, list[dict]]:
         """Loss and parameter gradients averaged over the batch."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape == self.input_shape:
-            xs = xs[None]
+        xs, _ = self._as_batch(xs)
         if xs.shape[0] == 0:
             raise EmptyBatchError("gradient of an empty batch")
         return self._backward(xs, ys, train=self.mode == "train", need_params=True)

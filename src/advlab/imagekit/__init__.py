@@ -1,6 +1,6 @@
 """Image representation, thresholding, morphology, contours, and RoI masks."""
 
-from .contours import Contour, RegionTree, build_region_tree, fill_outer_contour, trace_borders
+from .contours import Contour, fill_holes, fill_outer_contour, trace_borders
 from .ops import (
     Histogram,
     apply_mask,
@@ -18,12 +18,11 @@ from .roi import roi_mask
 __all__ = [
     "Contour",
     "Histogram",
-    "RegionTree",
     "apply_mask",
     "binarize",
-    "build_region_tree",
     "compute_histogram",
     "dilate",
+    "fill_holes",
     "fill_outer_contour",
     "otsu_threshold",
     "read_image",

@@ -3,13 +3,14 @@
 Foreground components are 8-connected, background regions 4-connected (the
 standard duality). A raster scan locates border start pixels; each border is
 walked once and labelled, and every border learns its parent, so holes know
-which component encloses them. `fill_outer_contour` recovers the full region
-enclosed by an outer border, including nested holes and islands.
+which component encloses them. `fill_holes` adds to a mask every background
+pixel cut off from the image frame, so `fill_outer_contour` recovers the
+full region enclosed by an outer border, including nested holes and islands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,38 +156,6 @@ def _follow_border(
     return points
 
 
-@dataclass
-class RegionTree:
-    """Nesting structure of foreground components and background holes."""
-
-    fg_labels: np.ndarray  # 0 = background, 1..n = component id
-    n_components: int
-    fg_parent_hole: dict[int, int]  # component -> enclosing hole id (0 = outside)
-    hole_labels: np.ndarray  # 0 = foreground or outside, 1..m = hole id
-    hole_parent_fg: dict[int, int]  # hole -> enclosing component
-    enclosed_counts: dict[int, int] = field(default_factory=dict)
-
-    def enclosed_mask(self, component: int) -> np.ndarray:
-        """Pixels of the component plus everything nested inside it."""
-        out = self.fg_labels == component
-        for hole, fg in self.hole_parent_fg.items():
-            if self._fg_is_under(fg, component):
-                out |= self.hole_labels == hole
-        for comp in range(1, self.n_components + 1):
-            if comp != component and self._fg_is_under(comp, component):
-                out |= self.fg_labels == comp
-        return out
-
-    def _fg_is_under(self, comp: int, ancestor: int) -> bool:
-        while True:
-            if comp == ancestor:
-                return True
-            hole = self.fg_parent_hole.get(comp, 0)
-            if hole == 0:
-                return False
-            comp = self.hole_parent_fg[hole]
-
-
 def _label_regions(mask: np.ndarray, foreground: bool) -> tuple[np.ndarray, int]:
     """Flood-fill labelling: 8-connectivity for foreground, 4 for background."""
     target = mask if foreground else ~mask
@@ -219,61 +188,23 @@ def _label_regions(mask: np.ndarray, foreground: bool) -> tuple[np.ndarray, int]
     return labels, current
 
 
-def build_region_tree(mask: np.ndarray) -> RegionTree:
-    """Label components and holes and link each region to its encloser.
+def fill_holes(mask: np.ndarray) -> np.ndarray:
+    """The mask plus every background pixel it encloses.
 
-    A background region is a hole iff it does not touch the image frame.
-    The region directly above a region's topmost-leftmost pixel is always
-    of the opposite kind and is its immediate encloser.
+    A background pixel is enclosed when no 4-connected background path
+    joins it to the image frame. The filled 8-connected component of a
+    top-level component is that component plus everything nested in it.
     """
-    rows, cols = mask.shape
-    fg_labels, n_fg = _label_regions(mask, foreground=True)
-    bg_labels, n_bg = _label_regions(mask, foreground=False)
-
-    frame_bg: set[int] = set()
-    if rows and cols:
-        for edge in (bg_labels[0, :], bg_labels[-1, :], bg_labels[:, 0], bg_labels[:, -1]):
-            frame_bg.update(int(v) for v in np.unique(edge) if v != 0)
-
-    # Compact hole ids: background regions that do not touch the frame.
-    hole_of_bg: dict[int, int] = {}
-    hole_labels = np.zeros_like(bg_labels)
-    for b in range(1, n_bg + 1):
-        if b not in frame_bg:
-            hole_of_bg[b] = len(hole_of_bg) + 1
-            hole_labels[bg_labels == b] = hole_of_bg[b]
-
-    fg_parent_hole: dict[int, int] = {}
-    for comp in range(1, n_fg + 1):
-        r, c = _top_left(fg_labels == comp)
-        if r == 0:
-            fg_parent_hole[comp] = 0
-        else:
-            b = int(bg_labels[r - 1, c])
-            fg_parent_hole[comp] = hole_of_bg.get(b, 0)
-
-    hole_parent_fg: dict[int, int] = {}
-    for b, hole in hole_of_bg.items():
-        r, c = _top_left(bg_labels == b)
-        hole_parent_fg[hole] = int(fg_labels[r - 1, c])
-
-    tree = RegionTree(fg_labels, n_fg, fg_parent_hole, hole_labels, hole_parent_fg)
-    for comp in range(1, n_fg + 1):
-        tree.enclosed_counts[comp] = int(tree.enclosed_mask(comp).sum())
-    return tree
-
-
-def _top_left(region: np.ndarray) -> tuple[int, int]:
-    rs, cs = np.nonzero(region)
-    k = int(np.argmin(rs * region.shape[1] + cs))
-    return int(rs[k]), int(cs[k])
+    if mask.ndim != 2 or mask.dtype != np.bool_:
+        raise ValueError("mask must be a 2-D boolean array")
+    labels, _ = _label_regions(mask, foreground=False)
+    frame = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
+    return ~np.isin(labels, frame[frame > 0])
 
 
 def fill_outer_contour(mask: np.ndarray, contour: Contour) -> np.ndarray:
     """Region enclosed by an outer contour: its component plus its inside."""
     if contour.kind != "outer":
         raise ValueError("only outer contours enclose a region")
-    tree = build_region_tree(mask)
-    r, c = contour.points[0]
-    comp = int(tree.fg_labels[r, c])
-    return tree.enclosed_mask(comp)
+    labels, _ = _label_regions(mask, foreground=True)
+    return fill_holes(labels == labels[contour.points[0]])

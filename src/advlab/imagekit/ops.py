@@ -46,9 +46,9 @@ class Histogram:
     """Intensity histogram plus the class moments used by Otsu thresholding.
 
     `p[i]` is the probability of level i. When built from pixel counts the
-    integer counts are kept alongside, which lets the threshold search
-    compare candidates in exact arithmetic. For a split at threshold t,
-    class 0 is [0, t) and class 1 is [t, L).
+    integer counts are kept alongside; Otsu's threshold search needs them,
+    as it compares candidates in exact arithmetic. For a split at
+    threshold t, class 0 is [0, t) and class 1 is [t, L).
     """
 
     p: np.ndarray
@@ -117,51 +117,19 @@ def compute_histogram(gray: np.ndarray, bins: int = 256) -> Histogram:
 def otsu_threshold(hist: Histogram) -> int:
     """Threshold maximizing the between-class variance.
 
-    Runs the incremental moment-update sweep: class-0 mass and first moment
-    are accumulated one level at a time, so every candidate threshold costs
-    O(1). Count-backed histograms are compared in exact integer arithmetic
-    (the variance ratio is cross-multiplied), so ties resolve to the
-    smallest maximizing t with no floating-point ambiguity. Raises
+    Runs the incremental moment-update sweep in exact integer arithmetic:
+    class-0 count and first moment are accumulated one level at a time,
+    and each t is scored by (S0*C1 - S1*C0)^2 / (C0*C1), which is n^2 times
+    the between-class variance. Candidates are ranked by cross-multiplying
+    over Python integers, so ties resolve to the smallest maximizing t.
+    Raises ValueError for a histogram built without counts and
     DegenerateImageError when only one bin is populated.
     """
-    p = hist.p
-    populated = (
-        int(np.count_nonzero(hist.counts))
-        if hist.counts is not None
-        else int(np.count_nonzero(p))
-    )
-    if populated < 2:
+    if hist.counts is None:
+        raise ValueError("otsu_threshold needs a histogram with counts (see compute_histogram)")
+    if np.count_nonzero(hist.counts) < 2:
         raise DegenerateImageError("histogram has a single populated bin")
-
-    if hist.counts is not None:
-        return _otsu_exact(hist.counts)
-
-    mu_total = hist.mean_total
-    w0 = 0.0
-    m0_sum = 0.0
-    best_t, best_var = 0, -1.0
-    for t in range(1, hist.bins):
-        w0 += p[t - 1]
-        m0_sum += (t - 1) * p[t - 1]
-        w1 = 1.0 - w0
-        if w0 <= 0.0 or w1 <= 0.0:
-            continue
-        mu0 = m0_sum / w0
-        mu1 = (mu_total - m0_sum) / w1
-        var_b = w0 * w1 * (mu0 - mu1) ** 2
-        if var_b > best_var:
-            best_var = var_b
-            best_t = t
-    return best_t
-
-
-def _otsu_exact(counts: np.ndarray) -> int:
-    """Exact integer sweep: maximize (S0*C1 - S1*C0)^2 / (C0*C1).
-
-    This equals n^2 * between-class variance, so the argmax is identical;
-    candidates are ranked by cross-multiplication over Python integers.
-    """
-    counts = [int(c) for c in counts]
+    counts = [int(c) for c in hist.counts]
     n = sum(counts)
     s_total = sum(i * c for i, c in enumerate(counts))
     c0 = 0

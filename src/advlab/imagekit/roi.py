@@ -5,6 +5,8 @@ surroundings after normalization; pass invert=True for dark-on-light
 regions. When several components survive binarization, the component
 enclosing the largest area wins (ties go to the first in raster order of
 its top-left pixel, where border following would start its outer contour).
+A component and everything it encloses is one 8-connected component of the
+hole-filled mask, and components are numbered in that raster order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NoContourError
-from .contours import build_region_tree
+from .contours import _label_regions, fill_holes
 from .ops import (
     binarize,
     compute_histogram,
@@ -34,9 +36,9 @@ def roi_mask(
     """Extract the region-of-interest mask of an image.
 
     Pipeline: grayscale -> automatic threshold (unless `threshold` is
-    given) -> binarize -> dilate -> label components and holes -> fill
-    the component with the largest enclosed area. The returned boolean
-    mask contains the component and everything nested inside it.
+    given) -> binarize -> dilate -> fill holes -> keep the largest
+    8-connected component. The returned boolean mask contains the
+    component and everything nested inside it.
 
     Raises DegenerateImageError for single-intensity images and
     NoContourError when binarization leaves no foreground.
@@ -51,6 +53,6 @@ def roi_mask(
     fg = dilate(fg, kernel)
     if not fg.any():
         raise NoContourError("binarization produced no foreground pixels")
-    tree = build_region_tree(fg)
-    counts = tree.enclosed_counts
-    return tree.enclosed_mask(max(counts, key=counts.get))
+    labels, _ = _label_regions(fill_holes(fg), foreground=True)
+    # argmax takes the first of equal counts: the earliest in raster order.
+    return labels == np.argmax(np.bincount(labels.ravel())[1:]) + 1

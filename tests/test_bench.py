@@ -208,6 +208,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="samples"):
             parse_config(p)
 
+    def test_unknown_sweep_option_rejected(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        text = CONFIG_TEXT.replace("axis = epsilon", "axs = decay_weight")
+        p.write_text(text.replace("samples = 10", "samplez = 3"))
+        with pytest.raises(BadFormatError, match="axs.*samplez"):
+            parse_config(p)
+
     def test_unknown_defence_kind(self, tmp_path):
         with pytest.raises(ValueError, match="jpeg"):
             DefenceConfig(kind="jpeg")

@@ -1,9 +1,9 @@
-"""Border following versus a flood-fill connected-component oracle."""
+"""Border following and hole filling versus flood-fill oracles."""
 
 import numpy as np
 import pytest
 
-from advlab.imagekit import build_region_tree, fill_outer_contour, trace_borders
+from advlab.imagekit import fill_holes, fill_outer_contour, trace_borders
 
 
 def flood_components(mask):
@@ -131,17 +131,73 @@ class TestTraceBorders:
         check_against_oracle(mask)
 
 
+def enclosed_oracle(mask, r, c):
+    """True iff a 4-neighbour walk through non-mask pixels from (r, c)
+    never reaches the image frame."""
+    h, w = mask.shape
+    seen = {(r, c)}
+    stack = [(r, c)]
+    while stack:
+        r, c = stack.pop()
+        if r in (0, h - 1) or c in (0, w - 1):
+            return False
+        for nr, nc in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if not mask[nr, nc] and (nr, nc) not in seen:
+                seen.add((nr, nc))
+                stack.append((nr, nc))
+    return True
+
+
+class TestFillHoles:
+    def test_random_masks_match_bfs_oracle(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            h, w = rng.integers(1, 14, size=2)
+            mask = rng.random((h, w)) < rng.uniform(0.2, 0.9)
+            expected = np.array(
+                [[mask[r, c] or enclosed_oracle(mask, r, c) for c in range(w)] for r in range(h)]
+            )
+            assert np.array_equal(fill_holes(mask), expected)
+
+    def test_empty_and_full(self):
+        assert not fill_holes(np.zeros((4, 5), dtype=bool)).any()
+        assert fill_holes(np.ones((4, 5), dtype=bool)).all()
+        with pytest.raises(ValueError):
+            fill_holes(np.ones((4, 5), dtype=int))
+
+    def test_diagonal_gap_does_not_leak(self):
+        # Background is 4-connected: a hole touching the outside only at a
+        # corner is still enclosed by the 8-connected ring.
+        mask = np.array(
+            [
+                [0, 1, 0, 0],
+                [1, 0, 1, 0],
+                [0, 1, 0, 0],
+            ],
+            dtype=bool,
+        )
+        filled = fill_holes(mask)
+        assert filled[1, 1] and not filled[0, 0]
+
+
 class TestRegionTree:
+    """The region an outer contour encloses: ring, hole and island."""
+
     def test_enclosed_includes_holes_and_islands(self):
         mask = np.zeros((11, 11), dtype=bool)
         mask[1:10, 1:10] = True
         mask[3:8, 3:8] = False
         mask[5, 5] = True
-        tree = build_region_tree(mask)
-        ring_comp = int(tree.fg_labels[1, 1])
-        enclosed = tree.enclosed_mask(ring_comp)
-        assert enclosed[1:10, 1:10].all()
-        assert not enclosed[0, :].any()
+        expected = np.zeros_like(mask)
+        expected[1:10, 1:10] = True
+        assert np.array_equal(fill_holes(mask), expected)
+        outers = [c for c in trace_borders(mask) if c.kind == "outer"]
+        ring = next(o for o in outers if (1, 1) in o.point_set())
+        island = next(o for o in outers if o.points == [(5, 5)])
+        assert np.array_equal(fill_outer_contour(mask, ring), expected)
+        only_island = np.zeros_like(mask)
+        only_island[5, 5] = True
+        assert np.array_equal(fill_outer_contour(mask, island), only_island)
 
     def test_fill_outer_contour(self):
         mask = np.zeros((9, 9), dtype=bool)

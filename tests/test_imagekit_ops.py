@@ -126,13 +126,11 @@ class TestOtsu:
             h = compute_histogram(gray, 256)
             assert otsu_threshold(h) == otsu_oracle(h.counts)
 
-    def test_float_path_matches_counts_path(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            gray = rng.integers(0, 64, size=(8, 8))
-            h = compute_histogram(gray, 64)
-            float_only = Histogram(h.p.copy())
-            assert otsu_threshold(float_only) == otsu_threshold(h)
+    def test_histogram_without_counts_rejected(self):
+        gray = np.random.default_rng(5).integers(0, 64, size=(8, 8))
+        h = compute_histogram(gray, 64)
+        with pytest.raises(ValueError, match="counts"):
+            otsu_threshold(Histogram(h.p.copy()))
 
     def test_maximizes_between_class_variance(self):
         rng = np.random.default_rng(13)
