@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from advlab.attacks import AttackConfig, fgsm
+from advlab.attacks import AttackConfig, run_attack
 from advlab.bench import generate_images, network_specs
 from advlab.defences import (
     DefenceConfig,
@@ -28,7 +28,7 @@ attack_cfg = AttackConfig(epsilon=0.04)
 def fgsm_accuracy(model, transform=None):
     hits = 0
     for x, y in zip(test_x, test_y):
-        adv = fgsm(model, x, int(y), attack_cfg).adversarial
+        adv = run_attack("fgsm", model, x, int(y), attack_cfg).adversarial
         if transform is not None:
             adv = transform(adv)
         hits += int(int(model.predict(adv)) == int(y))

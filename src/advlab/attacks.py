@@ -11,8 +11,9 @@ differ only in its start, its momentum rule and its step mask.
 Both loops run over a batch (N, H, W, C) with per-sample state, so a
 sample's arithmetic is its own. Its gradient is not bit for bit the N=1
 one: the network's batched matrix products round apart from single-row
-ones (by about 1e-16). The per-sample functions are N=1 calls into the
-loops; `run_attacks` attacks a batch ATTACK_CHUNK rows at a time.
+ones (by about 1e-16). `run_attack` attacks one sample by name, an N=1
+call into the loops; `run_attacks` attacks a batch ATTACK_CHUNK rows at
+a time.
 """
 
 from __future__ import annotations
@@ -74,23 +75,19 @@ class AttackConfig:
 
 
 @dataclass
-class MomentumState:
-    """Per-iteration bookkeeping of the RoI-guided attack."""
-
-    g: np.ndarray
-    mu: float
-    progress: float
-
-
-@dataclass
 class AttackResult:
+    """One attacked sample. The RoI-guided attacks also record, per step,
+    the momentum factor mu set after it and the RoI progress that set it
+    (both (iterations,)); they are None for the other attacks."""
+
     adversarial: np.ndarray
     linf: float
     l2_percent: float
     iterations_used: int
     success: bool
     elapsed: float
-    trace: list[MomentumState] | None = field(default=None, repr=False)
+    mu: np.ndarray | None = field(default=None, repr=False)
+    progress: np.ndarray | None = field(default=None, repr=False)
 
 
 def _ball(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +104,8 @@ class _Outcome:
     success: np.ndarray
     iterations: np.ndarray
     zero: np.ndarray  # the loss or margin gradient vanished at some step
-    traces: list[list[MomentumState]] | None = None
+    mu: np.ndarray | None = None  # (N, iterations), RoI-guided attacks only
+    progress: np.ndarray | None = None
 
 
 def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=False) -> _Outcome:
@@ -119,7 +117,7 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
     step on the raw gradient sign, with no zero-gradient check), a fixed
     factor `decay` applied to L1-normalized gradients, or, when `rois`
     (N, H, W) is given, a factor reset after each step to decay_weight /
-    progress inside each row's RoI, with a trace of every step.
+    progress inside each row's RoI, recording both per step.
     `confine` zeroes the step outside the clean-image RoI.
 
     Each row keeps its own L1 norm, factor, progress and mask; only the
@@ -134,13 +132,14 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
     g = np.zeros_like(xs)
     zero = np.zeros(n, dtype=bool)
     mu = None if decay is None else np.full(n, float(decay))
-    traces = None
+    mus = progresses = None
     if rois is not None:
         masks = rois
         step_mask = rois[..., None].astype(float) if confine else None
         rho_prev = adv * masks[..., None]
-        traces = [[] for _ in range(n)]
-    for _ in range(cfg.iterations):
+        mus = np.empty((n, cfg.iterations))
+        progresses = np.empty((n, cfg.iterations))
+    for t in range(cfg.iterations):
         grad = net.input_gradient(adv, ys)
         if mu is None:
             g = grad
@@ -159,11 +158,10 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
             rho_next = adv * masks[..., None]
             progress = roi_progress(rho_prev, rho_next)
             mu = cfg.decay_weight / np.maximum(progress, P_FLOOR)
-            for i, trace in enumerate(traces):
-                trace.append(MomentumState(g=g[i].copy(), mu=float(mu[i]), progress=float(progress[i])))
+            mus[:, t], progresses[:, t] = mu, progress
             rho_prev = rho_next
     success = net.predict(adv) != ys
-    return _Outcome(adv, success, np.full(n, cfg.iterations), zero, traces)
+    return _Outcome(adv, success, np.full(n, cfg.iterations), zero, mus, progresses)
 
 
 def _binary_margin(net, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,33 +234,34 @@ ROI_ATTACKS = ("kryptonite", "kryptonite_masked")
 ATTACK_CHUNK = 16
 
 
-def _attack_batch(name: str, net, xs, ys, cfg: AttackConfig, rois) -> _Outcome:
-    """Run attack `name` on one batch."""
-    if name == "fgsm":
+def _attack_batch(kind: str, net, xs, ys, cfg: AttackConfig, rois) -> _Outcome:
+    """Run attack `kind` on one batch (see run_attack for each contract)."""
+    if kind == "fgsm":
         return _sign_steps(net, xs, ys, replace(cfg, iterations=1, alpha=None))
-    if name == "ifgsm":
+    if kind == "ifgsm":
         return _sign_steps(net, xs, ys, cfg)
-    if name == "pgd":
-        # One start noise, drawn from the seed, shared by every row.
+    if kind == "pgd":
         rng = np.random.default_rng(cfg.seed)
         return _sign_steps(net, xs, ys, cfg, start=xs + rng.uniform(-cfg.epsilon, cfg.epsilon, size=xs.shape[1:]))
-    if name == "mifgsm":
+    if kind == "mifgsm":
         return _sign_steps(net, xs, ys, cfg, decay=cfg.initial_decay)
-    if name == "deepfool":
+    if kind == "deepfool":
         return _deepfool(net, xs, cfg)
-    if name in ROI_ATTACKS:
+    if kind in ROI_ATTACKS:
         if rois is None:
             rois = np.stack([extract_roi_or_full(x) for x in xs])
         if rois.dtype != np.bool_ or rois.shape != xs.shape[:3]:
             raise DimensionMismatchError("roi must be a boolean (H, W) mask matching x")
         if not rois.reshape(rois.shape[0], -1).any(axis=1).all():
             raise EmptyRoIError("region of interest is empty")
-        confine = name == "kryptonite_masked"
+        confine = kind == "kryptonite_masked"
         return _sign_steps(net, xs, ys, cfg, decay=cfg.initial_decay, rois=rois, confine=confine)
-    raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
+    raise ValueError(f"unknown attack {kind!r}; choose from {ATTACK_NAMES}")
 
 
-def _finish(x, adv, success, iterations, trace) -> AttackResult:
+def _finish(x, out: _Outcome, i: int) -> AttackResult:
+    """Row i of a batch's outcome, scored against its clean image x."""
+    adv = out.adv[i]
     try:
         percent = perturbation_percent(x, adv)
     except ZeroImageError:
@@ -271,20 +270,20 @@ def _finish(x, adv, success, iterations, trace) -> AttackResult:
         adversarial=adv,
         linf=lp_norm(x, adv, math.inf),
         l2_percent=percent,
-        iterations_used=int(iterations),
-        success=bool(success),
+        iterations_used=int(out.iterations[i]),
+        success=bool(out.success[i]),
         elapsed=0.0,
-        trace=trace,
+        mu=None if out.mu is None else out.mu[i],
+        progress=None if out.progress is None else out.progress[i],
     )
 
 
-def _attack_chunk(name: str, net, xs, ys, cfg: AttackConfig, rois) -> tuple[list[AttackResult], np.ndarray]:
+def _attack_chunk(kind: str, net, xs, ys, cfg: AttackConfig, rois) -> tuple[list[AttackResult], np.ndarray]:
     """Results of one batch and its zero-gradient flags; each result's
     elapsed is the batch's wall time over its rows."""
     t0 = time.perf_counter()
-    out = _attack_batch(name, net, xs, ys, cfg, rois)
-    traces = out.traces or [None] * xs.shape[0]
-    results = [_finish(*row) for row in zip(xs, out.adv, out.success, out.iterations, traces)]
+    out = _attack_batch(kind, net, xs, ys, cfg, rois)
+    results = [_finish(x, out, i) for i, x in enumerate(xs)]
     elapsed = (time.perf_counter() - t0) / xs.shape[0]
     for res in results:
         res.elapsed = elapsed
@@ -292,29 +291,61 @@ def _attack_chunk(name: str, net, xs, ys, cfg: AttackConfig, rois) -> tuple[list
 
 
 def run_attack(
-    name: str,
+    kind: str,
     net,
     x: np.ndarray,
     y,
     cfg: AttackConfig,
     roi: np.ndarray | None = None,
 ) -> AttackResult:
-    """Attack one sample by name: the batched loops at N=1.
+    """Attack one sample by kind: the batched loops at N=1.
 
-    The RoI-guided attacks receive `roi` or, when absent, the mask
-    extracted from the clean image (full-frame fallback if extraction
-    fails). The hyperplane-stepping attack ignores the label. Raises
-    ZeroGradientError where a momentum or hyperplane-stepping attack
-    meets a flat loss surface, rather than stepping nowhere.
+    - fgsm: one sign step of size epsilon; cfg.iterations and cfg.alpha
+      are ignored.
+    - ifgsm: iterated sign steps of cfg.step, each projected into the
+      epsilon-ball.
+    - pgd: the same from a random start in the ball. The start noise is
+      drawn from cfg.seed alone, so every sample (and every row of a
+      batch) gets the same.
+    - mifgsm: momentum accumulation of L1-normalized gradients with the
+      fixed factor cfg.initial_decay, then sign steps.
+    - deepfool: minimal-looking steps across the decision boundary. Each
+      iteration linearizes the logit margin f and moves every pixel by
+      (|f| + 1e-4) / ‖∇f‖_1 against the margin sign, scaled by
+      (1 + overshoot); iteration stops at the first label flip. The label
+      is ignored: the attack pushes away from the predicted class. The
+      result is projected into the ball (the default budget of 1.0
+      leaves it untouched beyond the [0, 1] clamp).
+    - kryptonite: mifgsm whose factor after each step is
+      decay_weight / max(progress, 1e-8), where progress is the Euclidean
+      change of the RoI-masked image; res.mu and res.progress record both
+      per step. The mask is `roi` or, when absent, the one extracted from
+      the clean image (full-frame fallback if extraction fails), unless
+      cfg.roi_reextract recomputes it per iterate.
+    - kryptonite_masked: the same with the sign step zeroed outside the
+      RoI, so pixels off the mask never change.
+
+    With a fixed mask, a kryptonite step moves each RoI value by alpha or
+    not at all, so progress = alpha * sqrt(number of RoI values the step
+    moved). Whenever alpha * iterations <= epsilon the ball projection
+    never binds, and that number is the count of RoI values not held at 0
+    or 1 by the pixel-range clamp (nor left still by a zero momentum
+    entry). If none is held, progress is alpha * sqrt(|RoI| * channels)
+    at every step, mu is a per-image constant (np.ptp(res.mu) == 0), and
+    the attack equals mifgsm with initial_decay set to that mu (the first
+    factor multiplies a zero accumulator, so it never matters).
+
+    Raises ZeroGradientError where a momentum or hyperplane-stepping
+    attack meets a flat loss surface, rather than stepping nowhere.
     """
     x = np.asarray(x)
-    [res], zero = _attack_chunk(name, net, x[None], np.asarray([y]), cfg, None if roi is None else roi[None])
+    [res], zero = _attack_chunk(kind, net, x[None], np.asarray([y]), cfg, None if roi is None else roi[None])
     if zero[0]:
         raise ZeroGradientError("gradient is identically zero")
     return res
 
 
-def run_attacks(name: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.ndarray | None = None) -> list[AttackResult]:
+def run_attacks(kind: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.ndarray | None = None) -> list[AttackResult]:
     """Attack every row of xs (N, H, W, C), labelled ys (N,), ATTACK_CHUNK
     rows at a time; `rois` (N, H, W) are the RoI-guided attacks' masks.
 
@@ -329,79 +360,12 @@ def run_attacks(name: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.
     results = []
     for start in range(0, xs.shape[0], ATTACK_CHUNK):
         part = slice(start, start + ATTACK_CHUNK)
-        chunk, zero = _attack_chunk(name, net, xs[part], ys[part], cfg, None if rois is None else rois[part])
+        chunk, zero = _attack_chunk(kind, net, xs[part], ys[part], cfg, None if rois is None else rois[part])
         results += [
             AttackResult(x, linf=0.0, l2_percent=0.0, iterations_used=0, success=False, elapsed=r.elapsed) if flat else r
             for x, r, flat in zip(xs[part], chunk, zero)
         ]
     return results
-
-
-def fgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Single sign step of size epsilon; cfg.iterations and cfg.alpha are
-    ignored."""
-    return run_attack("fgsm", net, x, y, cfg)
-
-
-def ifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Iterated sign steps, each projected into the epsilon-ball."""
-    return run_attack("ifgsm", net, x, y, cfg)
-
-
-def pgd(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Seeded random start in the ball, then projected sign descent. The
-    start noise depends on cfg.seed alone, so every sample gets the same."""
-    return run_attack("pgd", net, x, y, cfg)
-
-
-def mifgsm(net, x: np.ndarray, y, cfg: AttackConfig) -> AttackResult:
-    """Momentum accumulation of L1-normalized gradients, then sign steps.
-
-    The momentum factor is cfg.initial_decay and stays fixed. Raises
-    ZeroGradientError on a flat loss surface rather than stepping nowhere.
-    """
-    return run_attack("mifgsm", net, x, y, cfg)
-
-
-def deepfool_linf(net, x: np.ndarray, cfg: AttackConfig) -> AttackResult:
-    """Minimal-looking L-infinity steps across the decision boundary.
-
-    Each iteration linearizes the logit margin f and moves every pixel by
-    (|f| + 1e-4) / ‖∇f‖_1 against the margin sign, scaled by
-    (1 + overshoot); iteration stops at the first label flip. The result
-    is projected into the configured epsilon-ball (the default budget of
-    1.0 leaves it untouched beyond the [0, 1] clamp).
-    """
-    return run_attack("deepfool", net, x, None, cfg)
-
-
-def kryptonite(net, x: np.ndarray, y, roi: np.ndarray, cfg: AttackConfig) -> AttackResult:
-    """Momentum attack whose decay factor tracks progress inside the RoI.
-
-    Per iteration: accumulate the L1-normalized gradient with factor mu,
-    take a projected sign step everywhere, measure the Euclidean change of
-    the RoI-masked image, and set the next factor to
-    decay_weight / max(progress, 1e-8). The mask is extracted once from
-    the clean image unless cfg.roi_reextract recomputes it per iterate.
-    The returned trace records (g, mu, progress) for every step.
-
-    With a fixed mask, a step moves each RoI value by alpha or not at all,
-    so progress = alpha * sqrt(number of RoI values the step moved).
-    Whenever alpha * iterations <= epsilon the ball projection never
-    binds, and that number is the count of RoI values not held at 0 or 1
-    by the pixel-range clamp (nor left still by a zero momentum entry).
-    If none is held, progress is alpha * sqrt(|RoI| * channels) at every
-    step, mu is a per-image constant, and the attack equals the
-    fixed-momentum attack with initial_decay set to that mu (the first
-    factor multiplies a zero accumulator, so it never matters).
-    """
-    return run_attack("kryptonite", net, x, y, cfg, roi=roi)
-
-
-def kryptonite_masked(net, x: np.ndarray, y, roi: np.ndarray, cfg: AttackConfig) -> AttackResult:
-    """Same recurrence with the sign step zeroed outside the RoI, so
-    pixels off the mask never change."""
-    return run_attack("kryptonite_masked", net, x, y, cfg, roi=roi)
 
 
 def extract_roi_or_full(x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,17 @@ class DatasetSpec:
     train_fraction: float = 0.8
     manifest: str | None = None
 
+    def __post_init__(self):
+        if not self.manifest and not 0 < self.train_size < self.n:
+            raise ValueError(
+                f"train_fraction {self.train_fraction} of n = {self.n} leaves the train or test split empty"
+            )
+
+    @property
+    def train_size(self) -> int:
+        """Rows of a synthesized set that go to training; the rest test."""
+        return int(round(self.train_fraction * self.n))
+
 
 @dataclass
 class NetworkSpec:
@@ -67,8 +78,17 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
 
 
+def _values_tuple(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _names_tuple(raw: str) -> tuple:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
 # Option names are unique across sections, so one type table covers all.
 _FIELD_TYPES = {
+    "name": str, "trials": int,
     "n": int, "size": int, "seed": int, "train_fraction": float, "manifest": str,
     "arch": str, "scale": float,
     "epochs": int, "batch_size": int, "learning_rate": float,
@@ -79,6 +99,7 @@ _FIELD_TYPES = {
     "kind": str, "adversarial_fraction": float, "attack_name": str,
     "regenerate": str, "deflections": int, "window": int, "denoise": bool,
     "temperature": float,
+    "axis": str, "values": _values_tuple, "attacks": _names_tuple, "samples": int,
 }
 
 
@@ -90,34 +111,28 @@ def _coerce(raw: str, target_type):
         if low in ("false", "no", "0", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw.strip()
+    if target_type is str:
+        return raw.strip()
+    return target_type(raw)
 
 
-def _fill_dataclass(cls, options: dict, context: str, base=None):
-    allowed = {f.name for f in fields(cls)}
+def _fill_dataclass(cls, options: dict, context: str, base=None, allowed=None):
+    """Build cls (or replace fields of base) from a section's raw options;
+    an unknown option, a bad value or a rejected combination raises
+    BadFormatError naming the section."""
+    unknown = sorted(options.keys() - (allowed or {f.name for f in fields(cls)}))
+    if unknown:
+        raise BadFormatError(f"{context}: unknown options {unknown}")
     kwargs = {}
     for key, raw in options.items():
-        if key not in allowed:
-            raise BadFormatError(f"{context}: unknown option {key!r}")
         try:
             kwargs[key] = _coerce(raw, _FIELD_TYPES.get(key, str))
         except ValueError as exc:
             raise BadFormatError(f"{context}.{key}: {exc}") from exc
-    if base is not None:
-        return replace(base, **kwargs)
-    return cls(**kwargs)
-
-
-def _values_tuple(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _names_tuple(raw: str) -> tuple:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    try:
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except ValueError as exc:
+        raise BadFormatError(f"{context}: {exc}") from exc
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -128,14 +143,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not read:
         raise BadFormatError(f"cannot read config {path}")
 
-    cfg = ExperimentConfig()
-    if parser.has_section("experiment"):
-        opts = dict(parser.items("experiment"))
-        cfg.name = opts.pop("name", cfg.name)
-        cfg.trials = int(opts.pop("trials", cfg.trials))
-        cfg.seed = int(opts.pop("seed", cfg.seed))
-        if opts:
-            raise BadFormatError(f"[experiment]: unknown options {sorted(opts)}")
+    head = dict(parser.items("experiment")) if parser.has_section("experiment") else {}
+    cfg = _fill_dataclass(ExperimentConfig, head, "[experiment]", allowed={"name", "trials", "seed"})
     if parser.has_section("dataset"):
         cfg.dataset = _fill_dataclass(DatasetSpec, dict(parser.items("dataset")), "[dataset]")
     if parser.has_section("network"):
@@ -168,16 +177,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 dcfg.attack_name = attack_ref
             cfg.defences[name] = dcfg
     if parser.has_section("sweep"):
-        opts = dict(parser.items("sweep"))
-        unknown = sorted(opts.keys() - {"axis", "values", "attacks", "samples"})
-        if unknown:
-            raise BadFormatError(f"[sweep]: unknown options {unknown}")
-        cfg.sweep = SweepSpec(
-            axis=opts.get("axis", "epsilon"),
-            values=_values_tuple(opts.get("values", "")),
-            attacks=_names_tuple(opts.get("attacks", "")),
-            samples=int(opts.get("samples", 100)),
-        )
+        cfg.sweep = _fill_dataclass(SweepSpec, dict(parser.items("sweep")), "[sweep]")
 
     # Sweep and defence attack references must resolve against the roster.
     if cfg.sweep is not None:

@@ -75,7 +75,7 @@ def prepare_trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
         te = loaded.split_indices["test"]
         return TrialData(loaded.images[tr], loaded.labels[tr], loaded.images[te], loaded.labels[te])
     images, labels, _ = generate_images(ds.n, ds.size, seed=ds.seed + trial)
-    k = int(round(ds.train_fraction * ds.n))
+    k = ds.train_size
     return TrialData(images[:k], labels[:k], images[k:], labels[k:])
 
 

@@ -23,6 +23,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning rate must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def train(net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):

@@ -13,16 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from advlab.attacks import (
-    AttackConfig,
-    deepfool_linf,
-    fgsm,
-    ifgsm,
-    kryptonite,
-    kryptonite_masked,
-    mifgsm,
-    pgd,
-)
+from advlab.attacks import AttackConfig, run_attack
 from advlab.bench import generate_images, parse_config, run_experiment, sweep, time_attacks
 from advlab.bench.config import SweepSpec
 from advlab.gradnet import (
@@ -318,12 +309,12 @@ def test_criterion_5_ball_fuzz():
         roi = np.ones((h, w), dtype=bool)
         y = int(rng.integers(2))
         batch = [
-            fgsm(net, x, y, cfg),
-            ifgsm(net, x, y, cfg),
-            pgd(net, x, y, cfg),
-            mifgsm(net, x, y, cfg),
-            deepfool_linf(net, x, cfg),
-            kryptonite(net, x, y, roi, cfg),
+            run_attack("fgsm", net, x, y, cfg),
+            run_attack("ifgsm", net, x, y, cfg),
+            run_attack("pgd", net, x, y, cfg),
+            run_attack("mifgsm", net, x, y, cfg),
+            run_attack("deepfool", net, x, y, cfg),
+            run_attack("kryptonite", net, x, y, cfg, roi=roi),
         ]
         for res in batch:
             runs += 1
@@ -358,20 +349,20 @@ def test_criterion_6_degeneracy_identities():
         roi = np.ones((h, w), dtype=bool)
 
         cfg = AttackConfig(epsilon=eps, iterations=T, decay_weight=0.0, initial_decay=0.0)
-        a = kryptonite(net, x, y, roi, cfg).adversarial
-        b = ifgsm(net, x, y, cfg).adversarial
+        a = run_attack("kryptonite", net, x, y, cfg, roi=roi).adversarial
+        b = run_attack("ifgsm", net, x, y, cfg).adversarial
         failures["kry=ifgsm"] += int(not np.array_equal(a, b))
 
-        c2 = mifgsm(net, x, y, cfg).adversarial
+        c2 = run_attack("mifgsm", net, x, y, cfg).adversarial
         failures["mifgsm=ifgsm"] += int(not np.array_equal(c2, b))
 
         alpha = float(rng.uniform(0.005, eps))
         one = AttackConfig(epsilon=eps, iterations=1, alpha=alpha, decay_weight=0.3, initial_decay=0.7)
-        f = fgsm(net, x, y, AttackConfig(epsilon=alpha)).adversarial
-        for fn in (ifgsm, mifgsm):
-            failures["T1=fgsm"] += int(not np.array_equal(fn(net, x, y, one).adversarial, f))
+        f = run_attack("fgsm", net, x, y, AttackConfig(epsilon=alpha)).adversarial
+        for kind in ("ifgsm", "mifgsm"):
+            failures["T1=fgsm"] += int(not np.array_equal(run_attack(kind, net, x, y, one).adversarial, f))
         failures["T1=fgsm"] += int(
-            not np.array_equal(kryptonite(net, x, y, roi, one).adversarial, f)
+            not np.array_equal(run_attack("kryptonite", net, x, y, one, roi=roi).adversarial, f)
         )
     total = sum(failures.values())
     report(
@@ -518,7 +509,7 @@ def test_criterion_11_defence_directions():
         return float(
             np.mean(
                 [
-                    int(model.predict(fgsm(model, x, int(y), acfg).adversarial)) == int(y)
+                    int(model.predict(run_attack("fgsm", model, x, int(y), acfg).adversarial)) == int(y)
                     for x, y in zip(xs, ys)
                 ]
             )

@@ -4,6 +4,8 @@ import json
 import math
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parents[1]
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from advlab.bench import (
     parse_config,
     synth_dataset,
 )
-from advlab.bench.config import SweepSpec
+from advlab.bench.config import DatasetSpec, SweepSpec
 from advlab.bench.runner import mean_rows
 from advlab.bench.synth import _clear_of, _ellipse_mask
 from advlab.defences import DefenceConfig
@@ -226,6 +228,48 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(BadFormatError):
             parse_config(tmp_path / "none.ini")
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("trials = 2", "trials = ten", r"\[experiment\]\.trials"),
+            ("trials = 2", "trials = 0", r"\[experiment\]: trials must be >= 1"),
+            ("samples = 10", "samples = ten", r"\[sweep\]\.samples"),
+            ("samples = 10", "samples = 0", r"\[sweep\]: sweep samples must be >= 1"),
+            ("values = 0, 0.05, 0.1", "values = 0.1 abc", r"\[sweep\]\.values.*abc"),
+            ("values = 0, 0.05, 0.1\n", "", r"\[sweep\]: sweep values must be nonempty"),
+            ("seed = 0\n", "seed = 0\nseeds = 1\n", r"\[experiment\]: unknown options \['seeds'\]"),
+        ],
+    )
+    def test_experiment_and_sweep_errors_name_section(self, tmp_path, old, new, match):
+        assert CONFIG_TEXT.count(old) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(BadFormatError, match=match):
+            parse_config(p)
+
+    @pytest.mark.parametrize("path", sorted(REPO.glob("configs/*.ini")) + sorted(REPO.glob("perfbench/configs/*.ini")))
+    def test_shipped_configs_parse(self, path):
+        cfg = parse_config(path)
+        assert 0 < cfg.dataset.train_size < cfg.dataset.n
+
+    def test_batch_size_below_one_rejected(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace("batch_size = 16", "batch_size = 0"))
+        with pytest.raises(BadFormatError, match=r"\[train\]: batch_size must be >= 1"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.0, 0.01, 0.99])
+    def test_split_leaving_a_side_empty_rejected(self, tmp_path, fraction):
+        with pytest.raises(ValueError, match="split empty"):
+            DatasetSpec(n=40, train_fraction=fraction)
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace("n = 40", f"n = 40\ntrain_fraction = {fraction}"))
+        with pytest.raises(BadFormatError, match=r"\[dataset\]: train_fraction"):
+            parse_config(p)
+
+    def test_manifest_split_is_not_checked_against_n(self):
+        assert DatasetSpec(n=40, train_fraction=1.0, manifest="set/manifest.json").manifest
 
 
 class TestReports:

@@ -66,12 +66,12 @@ class TestAdversarialTrain:
         net = build(specs, (4, 4, 1), seed=3)
         train(net, (xs, ys), tcfg)
         attack_cfg = AttackConfig(epsilon=0.2)
-        from advlab.attacks import fgsm
+        from advlab.attacks import run_attack
 
         def fgsm_accuracy(model):
             hits = 0
             for x, y in zip(xs, ys):
-                adv = fgsm(model, x, int(y), attack_cfg).adversarial
+                adv = run_attack("fgsm", model, x, int(y), attack_cfg).adversarial
                 hits += int(int(model.predict(adv)) == int(y))
             return hits / len(xs)
 

@@ -70,6 +70,11 @@ class TestTrain:
         with pytest.raises(EmptyDatasetError):
             train(fresh_net(), (np.zeros((0, 1, 2, 1)), np.zeros(0, dtype=int)), TrainConfig())
 
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_batch_size_below_one_rejected(self, size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=size)
+
     def test_dropout_eval_identity(self):
         from advlab.gradnet import dropout
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from advlab.attacks import AttackConfig, kryptonite
+from advlab.attacks import AttackConfig, run_attack
 from advlab.bench import parse_config, run_experiment, sweep, time_attacks
 from advlab.bench.config import SweepSpec
 from advlab.bench.runner import network_specs
@@ -237,11 +237,12 @@ class TestRoiReextraction:
         net = build(specs, shape, seed=0)
         train(net, (images[:32], labels[:32]), TrainConfig(epochs=2, batch_size=8, seed=0))
         x, y, roi = images[32], int(labels[32]), rois[32]
-        fixed = kryptonite(net, x, y, roi, AttackConfig(epsilon=0.08, iterations=4, decay_weight=0.05))
-        re_ex = kryptonite(
-            net, x, y, roi,
+        fixed = run_attack("kryptonite", net, x, y, AttackConfig(epsilon=0.08, iterations=4, decay_weight=0.05), roi=roi)
+        re_ex = run_attack(
+            "kryptonite", net, x, y,
             AttackConfig(epsilon=0.08, iterations=4, decay_weight=0.05, roi_reextract=True),
+            roi=roi,
         )
         for res in (fixed, re_ex):
             assert res.linf <= 0.08 + 1e-6
-            assert len(res.trace) == 4
+            assert res.mu.shape == res.progress.shape == (4,)
