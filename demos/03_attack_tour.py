@@ -24,7 +24,7 @@ configs = {
     "ifgsm": AttackConfig(**base, iterations=16),
     "pgd": AttackConfig(**base, iterations=20, alpha=2.5 * eps / 20),
     "mifgsm": AttackConfig(**base, iterations=12),
-    "deepfool": AttackConfig(iterations=50, overshoot=0.06),
+    "deepfool": AttackConfig(epsilon=eps, iterations=50, overshoot=0.06),
     "kryptonite": AttackConfig(**base, iterations=16, decay_weight=0.006),
     "kryptonite_masked": AttackConfig(**base, iterations=16, decay_weight=0.006),
 }

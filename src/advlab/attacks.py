@@ -331,7 +331,8 @@ def run_attack(
     never binds, and that number is the count of RoI values not held at 0
     or 1 by the pixel-range clamp (nor left still by a zero momentum
     entry). If none is held, progress is alpha * sqrt(|RoI| * channels)
-    at every step, mu is a per-image constant (np.ptp(res.mu) == 0), and
+    at every step, mu is a per-image constant up to rounding (test it with
+    np.ptp(res.mu) <= 1e-9 * res.mu.max(): progress sums round apart), and
     the attack equals mifgsm with initial_decay set to that mu (the first
     factor multiplies a zero accumulator, so it never matters).
 

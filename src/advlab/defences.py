@@ -15,7 +15,7 @@ import numpy as np
 
 from .attacks import AttackConfig, run_attacks
 from .errors import NonPositiveTemperatureError
-from .gradnet import EVAL_BATCH, TrainConfig, build, promote_to_softmax, sgd_epoch, train
+from .gradnet import TrainConfig, build, promote_to_softmax, sgd_epoch, train
 from .gradnet.network import Network
 from .imagekit import validate_image
 
@@ -161,9 +161,7 @@ def distill(
     train_cfg = replace(cfg.train, stop_accuracy=None)
     teacher = build(soft_specs, input_shape, seed=cfg.train.seed)
     train(teacher, (xs, ys.astype(int)), train_cfg)
-    # In evaluate's chunks: one forward over the whole set is where a
-    # distillation run's memory would peak.
-    soft_labels = np.concatenate([teacher.forward(xs[i : i + EVAL_BATCH]) for i in range(0, xs.shape[0], EVAL_BATCH)])
+    soft_labels = teacher.forward(xs)
     student = build(soft_specs, input_shape, seed=cfg.train.seed + 1)
     train(student, (xs, soft_labels), train_cfg)
     student.set_temperature(1.0)

@@ -20,10 +20,9 @@ from .network import (
     reference_cnn_specs,
 )
 from .serialize import load_network, save_network
-from .train import EVAL_BATCH, TrainConfig, evaluate, sgd_epoch, train
+from .train import TrainConfig, evaluate, sgd_epoch, train
 
 __all__ = [
-    "EVAL_BATCH",
     "LayerSpec",
     "Network",
     "TrainConfig",

@@ -38,6 +38,12 @@ from .layers import (
 )
 
 _EPS = 1e-7  # probability clamp before logs
+# Rows per inference forward. im2col expands each conv input ninefold, so
+# a whole-set forward would hold that expansion for every row at once.
+# benchmarks/block_sweep.py measures the choice: below 32 rows the 16-row
+# gradient passes that follow page-fault, as glibc's mmap threshold stays
+# under their array sizes.
+FORWARD_BLOCK = 32
 
 
 def propagate_shapes(specs: list[LayerSpec], input_shape: tuple) -> list[tuple]:
@@ -150,6 +156,12 @@ class Network:
             out = softmax_with_temperature(z, self.specs[-1].temperature)
         return out, z, caches
 
+    def _infer(self, xb: np.ndarray, train: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Head output and logits of an inference forward, FORWARD_BLOCK rows at a time."""
+        starts = range(0, max(len(xb), 1), FORWARD_BLOCK)
+        blocks = [self._run(xb[i : i + FORWARD_BLOCK], train, keep=False) for i in starts]
+        return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
     def _layer_forward(self, spec, params, act, train, keep):
         k = spec.kind
         if k == "conv":
@@ -170,7 +182,7 @@ class Network:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Head probabilities: scalar in (0,1) for sigmoid, vector for softmax."""
         xb, single = self._as_batch(x)
-        out, _, _ = self._run(xb, train=self.mode == "train", keep=False)
+        out, _ = self._infer(xb, train=self.mode == "train")
         if self.head.kind == "sigmoid":
             out = out[:, 0]
         return out[0] if single else out
@@ -178,7 +190,7 @@ class Network:
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Pre-head activations (temperature not applied)."""
         xb, single = self._as_batch(x)
-        _, z, _ = self._run(xb, train=False, keep=False)
+        _, z = self._infer(xb, train=False)
         return z[0] if single else z
 
     def predict(self, x: np.ndarray):
@@ -240,7 +252,7 @@ class Network:
         """loss(x, y) and the hard labels of a batch from one forward pass."""
         xb, _ = self._as_batch(x)
         targets = self._targets(y, xb.shape[0])
-        out, _, _ = self._run(xb, train=self.mode == "train", keep=False)
+        out, _ = self._infer(xb, train=self.mode == "train")
         probs = out[:, 0] if self.head.kind == "sigmoid" else out
         return self._loss_from_out(out, targets), self._labels(probs)
 

@@ -9,8 +9,6 @@ import numpy as np
 from ..errors import EmptyDatasetError
 from .network import Network
 
-EVAL_BATCH = 256  # rows per forward pass when a whole set is scored
-
 
 @dataclass
 class TrainConfig:
@@ -69,21 +67,12 @@ def sgd_epoch(net: Network, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig, rn
     return float(np.mean(losses))
 
 
-def evaluate(net: Network, xs: np.ndarray, ys, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
+def evaluate(net: Network, xs: np.ndarray, ys) -> tuple[float, float]:
     """(mean loss, accuracy) over a labelled set, dropout off."""
     net.eval_mode()
-    xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys)
-    n = xs.shape[0]
-    if n == 0:
+    if len(xs) == 0:
         raise EmptyDatasetError("evaluation set is empty")
-    losses = []
-    correct = 0
-    for start in range(0, n, batch_size):
-        xb = xs[start : start + batch_size]
-        yb = ys[start : start + batch_size]
-        loss, preds = net.loss_and_predict(xb, yb)
-        losses.append(loss * xb.shape[0])
-        hard = yb if yb.ndim == 1 else yb.argmax(axis=1)
-        correct += int((preds == hard).sum())
-    return float(sum(losses) / n), correct / n
+    loss, preds = net.loss_and_predict(xs, ys)
+    hard = ys if ys.ndim == 1 else ys.argmax(axis=1)
+    return loss, int((preds == hard).sum()) / len(preds)

@@ -298,6 +298,19 @@ class TestKryptonite:
             got = run_attack("mifgsm", net, x, y, fixed).adversarial
             assert np.allclose(got, res.adversarial, rtol=0, atol=1e-12)
 
+    def test_documented_constant_factor_test(self):
+        # run_attack's docstring: with alpha * T <= eps and no RoI value at
+        # the [0, 1] clamp, mu stays constant up to rounding, which is what
+        # np.ptp(res.mu) <= 1e-9 * res.mu.max() tests; progress sums round
+        # differently from step to step, so an exact ptp == 0 misses it.
+        cfg = AttackConfig(epsilon=0.08, iterations=4, decay_weight=0.02, initial_decay=0.5)
+        net = logistic_net(W, B)  # y = 1 pushes pixel 0 down and pixel 1 up
+        free = run_attack("kryptonite", net, X, 1, cfg, roi=FULL_ROI).mu
+        assert np.ptp(free) <= 1e-9 * free.max()
+        assert np.ptp(free) > 0
+        clamped = run_attack("kryptonite", net, np.array([0.03, 0.97]).reshape(X.shape), 1, cfg, roi=FULL_ROI).mu
+        assert np.ptp(clamped) > 1e-9 * clamped.max()
+
     def test_empty_roi_rejected(self):
         with pytest.raises(EmptyRoIError):
             run_attack(

@@ -1,10 +1,12 @@
 """Network build, forward, loss, and analytic gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from advlab.bench import network_specs
 from advlab.errors import (
     EmptyBatchError,
     InvalidLabelError,
@@ -102,6 +104,20 @@ class TestForward:
         batched = net.forward(xs)
         for i in range(7):
             assert np.allclose(batched[i], net.forward(xs[i]), atol=1e-12)
+
+    def test_whole_set_forward_memory_is_bounded(self):
+        # Row blocking caps the im2col expansion at one block; 512 rows in
+        # one forward would trace about 84 MiB here.
+        specs, shape = network_specs("blob_cnn", 32, 0.75)
+        net = build(specs, shape, seed=0)
+        xs = np.random.default_rng(0).random((512, *shape))
+        tracemalloc.start()
+        try:
+            net.forward(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLoss:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from advlab.errors import EmptyDatasetError
-from advlab.gradnet import Network, TrainConfig, build, dense, evaluate, flatten, relu, sigmoid, train
+from advlab.gradnet import Network, TrainConfig, build, dense, evaluate, flatten, relu, sigmoid, softmax, train
+from advlab.gradnet.network import FORWARD_BLOCK
 
 
 def two_pixel_set(n=40, seed=0):
@@ -99,18 +100,34 @@ class TestEvaluate:
             evaluate(fresh_net(), np.zeros((0, 1, 2, 1)), np.zeros(0, dtype=int))
 
     def test_one_forward_per_batch(self, monkeypatch):
-        xs, ys = two_pixel_set(n=10)
-        net = fresh_net()
-        batches = [(xs[i : i + 4], ys[i : i + 4]) for i in range(0, 10, 4)]
-        want_loss = sum(net.loss(xb, yb) * xb.shape[0] for xb, yb in batches) / 10
-        want_acc = sum(int((net.predict(xb) == yb).sum()) for xb, yb in batches) / 10
-        runs = []
+        """Whole-set inference runs at most FORWARD_BLOCK rows per forward
+        and equals the concatenated per-block calls bit for bit."""
+        n = 5 * FORWARD_BLOCK // 2
+        xs, ys = two_pixel_set(n=n)
+        blocks = [slice(i, i + FORWARD_BLOCK) for i in range(0, n, FORWARD_BLOCK)]
         real = Network._run
+        for net in (fresh_net(), build([flatten(), dense(2), softmax()], (1, 2, 1), seed=0)):
+            want_out = np.concatenate([real(net, xs[b], False, False)[0] for b in blocks])
+            want_loss = net._loss_from_out(want_out, net._targets(ys, n))
+            want_preds = np.concatenate([net.predict(xs[b]) for b in blocks])
+            runs = []
 
-        def counting(self, *args, **kwargs):
-            runs.append(args[0].shape[0])
-            return real(self, *args, **kwargs)
+            def counting(self, *args, **kwargs):
+                runs.append(args[0].shape[0])
+                return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(Network, "_run", counting)
-        assert evaluate(net, xs, ys, batch_size=4) == (want_loss, want_acc)
-        assert runs == [4, 4, 2]
+            monkeypatch.setattr(Network, "_run", counting)
+            got_forward = net.forward(xs)
+            got_logits = net.logits(xs)
+            got_preds, got_scores = net.predict_and_score(xs)
+            got_loss, got_loss_preds = net.loss_and_predict(xs, ys)
+            got_eval = evaluate(net, xs, ys)
+            monkeypatch.undo()
+            assert runs == [FORWARD_BLOCK, FORWARD_BLOCK, FORWARD_BLOCK // 2] * 5
+            assert np.array_equal(got_forward, np.concatenate([net.forward(xs[b]) for b in blocks]))
+            assert np.array_equal(got_logits, np.concatenate([net.logits(xs[b]) for b in blocks]))
+            scores = [net.predict_and_score(xs[b])[1] for b in blocks]
+            assert np.array_equal(got_scores, np.concatenate(scores))
+            assert np.array_equal(got_preds, want_preds) and np.array_equal(got_loss_preds, want_preds)
+            assert got_loss == want_loss
+            assert got_eval == (want_loss, int((want_preds == ys).sum()) / n)
