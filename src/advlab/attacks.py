@@ -1,7 +1,7 @@
 """White-box attacks on [0, 1] images under an L-infinity budget.
 
-All attacks return an AttackResult whose adversarial image satisfies
-‖x* − x‖_inf <= epsilon and stays inside [0, 1]. Sign steps use the
+Every attack returns one AttackResult of arrays, a row per sample, whose
+adversarial images satisfy ‖x* − x‖_inf <= epsilon and stay inside [0, 1]. Sign steps use the
 mathematical sign (sign(0) = 0), so pixels with zero gradient never move.
 Every attack is deterministic given its config; the projected-descent
 attack draws its random start from the config seed. All but the
@@ -76,18 +76,28 @@ class AttackConfig:
 
 @dataclass
 class AttackResult:
-    """One attacked sample. The RoI-guided attacks also record, per step,
-    the momentum factor mu set after it and the RoI progress that set it
-    (both (iterations,)); they are None for the other attacks."""
+    """Attacked samples, every field with a leading row axis N.
+
+    adversarial is (N, H, W, C); linf, l2_percent (NaN for an all-zero
+    clean image), iterations_used, success, zero and elapsed are (N,).
+    zero flags a row whose loss or margin gradient vanished at some step.
+    The RoI-guided attacks also record, per step, the momentum factor mu
+    set after it and the RoI progress that set it, (N, iterations); both
+    are None for the other attacks. result[i] is row i of every field.
+    """
 
     adversarial: np.ndarray
-    linf: float
-    l2_percent: float
-    iterations_used: int
-    success: bool
-    elapsed: float
+    linf: np.ndarray
+    l2_percent: np.ndarray
+    iterations_used: np.ndarray
+    success: np.ndarray
+    zero: np.ndarray
+    elapsed: np.ndarray
     mu: np.ndarray | None = field(default=None, repr=False)
     progress: np.ndarray | None = field(default=None, repr=False)
+
+    def __getitem__(self, i) -> AttackResult:
+        return AttackResult(**{k: None if v is None else v[i] for k, v in vars(self).items()})
 
 
 def _ball(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -96,19 +106,22 @@ def _ball(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-@dataclass
-class _Outcome:
-    """What a batched attack loop hands back, one entry per row."""
-
-    adv: np.ndarray
-    success: np.ndarray
-    iterations: np.ndarray
-    zero: np.ndarray  # the loss or margin gradient vanished at some step
-    mu: np.ndarray | None = None  # (N, iterations), RoI-guided attacks only
-    progress: np.ndarray | None = None
+def _percent(x: np.ndarray, adv: np.ndarray) -> float:
+    try:
+        return perturbation_percent(x, adv)
+    except ZeroImageError:
+        return math.nan
 
 
-def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=False) -> _Outcome:
+def _scored(xs, adv, success, iterations, zero, mu=None, progress=None) -> AttackResult:
+    """A loop's rows, each scored against its clean image by one lp_norm
+    and one perturbation_percent call; run_attacks sets elapsed."""
+    linf = np.array([lp_norm(x, a, math.inf) for x, a in zip(xs, adv)])
+    l2_percent = np.array([_percent(x, a) for x, a in zip(xs, adv)])
+    return AttackResult(adv, linf, l2_percent, iterations, success, zero, np.zeros(len(xs)), mu, progress)
+
+
+def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=False) -> AttackResult:
     """The projected sign-step recurrence of fgsm, ifgsm, pgd, mifgsm and
     both RoI-guided attacks, over a batch xs (N, H, W, C) labelled ys (N,).
 
@@ -161,7 +174,7 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
             mus[:, t], progresses[:, t] = mu, progress
             rho_prev = rho_next
     success = net.predict(adv) != ys
-    return _Outcome(adv, success, np.full(n, cfg.iterations), zero, mus, progresses)
+    return _scored(xs, adv, success, np.full(n, cfg.iterations), zero, mus, progresses)
 
 
 def _binary_margin(net, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +190,7 @@ def _binary_margin(net, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z @ dz, w
 
 
-def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> _Outcome:
+def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> AttackResult:
     """The hyperplane-stepping loop over a batch xs (N, H, W, C).
 
     A row leaves the active set at its first label flip, or flagged in
@@ -210,7 +223,7 @@ def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> _Outcome:
         adv[active] = np.clip(adv[active] + push * np.sign(w), 0.0, 1.0)
         used[active] += 1
     adv = np.clip(adv, lo, hi)
-    return _Outcome(adv, net.predict(adv) != y0, used, zero)
+    return _scored(xs, adv, net.predict(adv) != y0, used, zero)
 
 
 def roi_progress(rho_prev: np.ndarray, rho_next: np.ndarray):
@@ -234,7 +247,7 @@ ROI_ATTACKS = ("kryptonite", "kryptonite_masked")
 ATTACK_CHUNK = 16
 
 
-def _attack_batch(kind: str, net, xs, ys, cfg: AttackConfig, rois) -> _Outcome:
+def _attack_batch(kind: str, net, xs, ys, cfg: AttackConfig, rois) -> AttackResult:
     """Run attack `kind` on one batch (see run_attack for each contract)."""
     if kind == "fgsm":
         return _sign_steps(net, xs, ys, replace(cfg, iterations=1, alpha=None))
@@ -257,37 +270,6 @@ def _attack_batch(kind: str, net, xs, ys, cfg: AttackConfig, rois) -> _Outcome:
         confine = kind == "kryptonite_masked"
         return _sign_steps(net, xs, ys, cfg, decay=cfg.initial_decay, rois=rois, confine=confine)
     raise ValueError(f"unknown attack {kind!r}; choose from {ATTACK_NAMES}")
-
-
-def _finish(x, out: _Outcome, i: int) -> AttackResult:
-    """Row i of a batch's outcome, scored against its clean image x."""
-    adv = out.adv[i]
-    try:
-        percent = perturbation_percent(x, adv)
-    except ZeroImageError:
-        percent = math.nan
-    return AttackResult(
-        adversarial=adv,
-        linf=lp_norm(x, adv, math.inf),
-        l2_percent=percent,
-        iterations_used=int(out.iterations[i]),
-        success=bool(out.success[i]),
-        elapsed=0.0,
-        mu=None if out.mu is None else out.mu[i],
-        progress=None if out.progress is None else out.progress[i],
-    )
-
-
-def _attack_chunk(kind: str, net, xs, ys, cfg: AttackConfig, rois) -> tuple[list[AttackResult], np.ndarray]:
-    """Results of one batch and its zero-gradient flags; each result's
-    elapsed is the batch's wall time over its rows."""
-    t0 = time.perf_counter()
-    out = _attack_batch(kind, net, xs, ys, cfg, rois)
-    results = [_finish(x, out, i) for i, x in enumerate(xs)]
-    elapsed = (time.perf_counter() - t0) / xs.shape[0]
-    for res in results:
-        res.elapsed = elapsed
-    return results, out.zero
 
 
 def run_attack(
@@ -336,37 +318,49 @@ def run_attack(
     the attack equals mifgsm with initial_decay set to that mu (the first
     factor multiplies a zero accumulator, so it never matters).
 
-    Raises ZeroGradientError where a momentum or hyperplane-stepping
-    attack meets a flat loss surface, rather than stepping nowhere.
+    The result is row 0 of run_attacks': adversarial (H, W, C), mu and
+    progress (iterations,), the other fields numpy scalars. Raises
+    ZeroGradientError where a momentum or hyperplane-stepping attack meets
+    a flat loss surface, rather than stepping nowhere.
     """
-    x = np.asarray(x)
-    [res], zero = _attack_chunk(kind, net, x[None], np.asarray([y]), cfg, None if roi is None else roi[None])
-    if zero[0]:
+    res = run_attacks(kind, net, np.asarray(x)[None], [y], cfg, None if roi is None else roi[None])
+    if res.zero[0]:
         raise ZeroGradientError("gradient is identically zero")
-    return res
+    return res[0]
 
 
-def run_attacks(kind: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.ndarray | None = None) -> list[AttackResult]:
-    """Attack every row of xs (N, H, W, C), labelled ys (N,), ATTACK_CHUNK
-    rows at a time; `rois` (N, H, W) are the RoI-guided attacks' masks.
+def run_attacks(kind: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.ndarray | None = None) -> AttackResult:
+    """Attack every row of xs (N, H, W, C), N >= 1, labelled ys (N,),
+    ATTACK_CHUNK rows at a time; `rois` (N, H, W) are the RoI-guided
+    attacks' masks. The result holds one row per sample, in order.
 
-    Row i's result is run_attack's on (xs[i], ys[i], rois[i]), except that
-    a row whose gradient vanishes cannot be moved: it comes back unmoved
-    (the clean image, linf 0, l2_percent 0.0, no iterations) as a miss
-    for the attacker rather than aborting the batch. elapsed is the
-    chunk's wall time over its rows.
+    Row i is run_attack's result on (xs[i], ys[i], rois[i]), except that a
+    row whose gradient vanishes cannot be moved: it keeps zero set and
+    comes back unmoved (the clean image, linf 0, l2_percent 0.0, no
+    iterations, no success, NaN mu and progress) as a miss for the
+    attacker rather than aborting the batch. elapsed is the row's chunk's
+    wall time over its rows.
     """
     xs = np.asarray(xs)
     ys = np.asarray(ys)
-    results = []
+    chunks = []
     for start in range(0, xs.shape[0], ATTACK_CHUNK):
         part = slice(start, start + ATTACK_CHUNK)
-        chunk, zero = _attack_chunk(kind, net, xs[part], ys[part], cfg, None if rois is None else rois[part])
-        results += [
-            AttackResult(x, linf=0.0, l2_percent=0.0, iterations_used=0, success=False, elapsed=r.elapsed) if flat else r
-            for x, r, flat in zip(xs[part], chunk, zero)
-        ]
-    return results
+        t0 = time.perf_counter()
+        chunk = _attack_batch(kind, net, xs[part], ys[part], cfg, None if rois is None else rois[part])
+        chunk.elapsed[:] = (time.perf_counter() - t0) / chunk.zero.size
+        chunks.append(chunk)
+    first = vars(chunks[0])
+    res = AttackResult(**{k: None if v is None else np.concatenate([vars(c)[k] for c in chunks]) for k, v in first.items()})
+    flat = res.zero
+    res.adversarial[flat] = xs[flat]
+    res.linf[flat] = res.l2_percent[flat] = 0.0
+    res.iterations_used[flat] = 0
+    res.success[flat] = False
+    for steps in (res.mu, res.progress):
+        if steps is not None:
+            steps[flat] = math.nan
+    return res
 
 
 def extract_roi_or_full(x: np.ndarray) -> np.ndarray:

@@ -100,16 +100,16 @@ def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, rois, transform=No
     """Attack every sample in one batched call, pass each adversarial
     through `transform` when given, and score the batch. The keys are
     ReportRow fields."""
-    results = run_attacks(kind, net, xs, ys, acfg, rois=rois)
-    advs = [r.adversarial if transform is None else transform(r.adversarial) for r in results]
-    acc, auc = _clean_stats(net, np.stack(advs), ys)
-    kept = [r.l2_percent for r in results if not math.isnan(r.l2_percent)]
+    res = run_attacks(kind, net, xs, ys, acfg, rois=rois)
+    advs = res.adversarial if transform is None else np.stack([transform(a) for a in res.adversarial])
+    acc, auc = _clean_stats(net, advs, ys)
+    kept = res.l2_percent[~np.isnan(res.l2_percent)]
     return {
         "accuracy_under_attack": acc,
         "roc_auc": auc,
-        "pert_mean_percent": float(np.mean(kept)) if kept else math.nan,
-        "pert_worst_percent": float(np.max(kept)) if kept else math.nan,
-        "seconds_per_sample": float(np.mean([r.elapsed for r in results])),
+        "pert_mean_percent": float(np.mean(kept)) if kept.size else math.nan,
+        "pert_worst_percent": float(np.max(kept)) if kept.size else math.nan,
+        "seconds_per_sample": float(np.mean(res.elapsed)),
     }
 
 

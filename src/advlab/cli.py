@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .attacks import run_attacks
 from .bench.config import parse_config
 from .bench.dataset import synth_dataset
@@ -91,19 +89,20 @@ def cmd_attack(args) -> int:
     rois = clean_rois(cfg.attacks, xs)
     for name, (kind, acfg) in cfg.attacks.items():
         results = run_attacks(kind, net, xs, ys, acfg, rois=rois)
-        preds = net.predict(np.stack([r.adversarial for r in results]))
-        for i, (res, pred) in enumerate(zip(results, preds)):
+        for i, pred in enumerate(net.predict(results.adversarial)):
+            res = results[i]
             records.append(
                 {
                     "attack": name,
                     "sample": i,
                     "label": int(ys[i]),
                     "prediction": int(pred),
-                    "linf": res.linf,
-                    "l2_percent": res.l2_percent,
-                    "iterations_used": res.iterations_used,
+                    "linf": float(res.linf),
+                    "l2_percent": float(res.l2_percent),
+                    "iterations_used": int(res.iterations_used),
                     "success": bool(res.success),
-                    "elapsed_seconds": res.elapsed,
+                    "zero_gradient": bool(res.zero),
+                    "elapsed_seconds": float(res.elapsed),
                 }
             )
     path = out / "attack_records.json"

@@ -85,8 +85,7 @@ def adversarial_train(
         if k and (epoch == 0 or cfg.regenerate == "per_epoch"):
             source = net if epoch == 0 else fresh
             source.eval_mode()
-            results = run_attacks(cfg.attack_name, source, xs[chosen], ys[chosen], cfg.attack)
-            mixed[chosen] = [r.adversarial for r in results]
+            mixed[chosen] = run_attacks(cfg.attack_name, source, xs[chosen], ys[chosen], cfg.attack).adversarial
         history["loss"].append(sgd_epoch(fresh, mixed, ys, cfg.train, shuffle_rng))
     return fresh, history
 

@@ -406,36 +406,32 @@ def batch_problem(n=37, seed=4):
 
 
 def loop_reference(kind, net, xs, ys, rois, cfg):
-    """run_attack in a loop, with run_attacks' rule for a sample whose
-    gradient vanishes: it comes back unmoved."""
+    """run_attack on each row i, with None where the sample's gradient
+    vanishes (run_attacks brings that row back unmoved)."""
     out = []
-    for x, y, roi in zip(xs, ys, rois):
+    for i in range(xs.shape[0]):
         try:
-            out.append(run_attack(kind, net, x, y, cfg, roi=roi))
+            out.append(run_attack(kind, net, xs[i], ys[i], cfg, roi=rois[i]))
         except ZeroGradientError:
             out.append(None)
     return out
 
 
 def assert_same(batched, looped, xs):
-    assert len(batched) == len(looped)
-    for x, b, want in zip(xs, batched, looped):
+    assert batched.adversarial.shape == xs.shape and len(looped) == xs.shape[0]
+    for i, want in enumerate(looped):
+        got = (batched.linf[i], batched.l2_percent[i], batched.iterations_used[i], batched.success[i])
         if want is None:
-            assert np.array_equal(b.adversarial, x)
-            assert (b.linf, b.l2_percent, b.iterations_used, b.success) == (0.0, 0.0, 0, False)
+            assert np.array_equal(batched.adversarial[i], xs[i])
+            assert got == (0.0, 0.0, 0, False)
             continue
-        assert np.array_equal(b.adversarial, want.adversarial)
-        assert (b.linf, b.l2_percent, b.iterations_used, b.success) == (
-            want.linf,
-            want.l2_percent,
-            want.iterations_used,
-            want.success,
-        )
+        assert np.array_equal(batched.adversarial[i], want.adversarial)
+        assert got == (want.linf, want.l2_percent, want.iterations_used, want.success)
         # Batched matrix products round apart from N=1 ones, so the
         # momentum accumulator agrees only to rounding; the bit-equal
         # adversarials pin its sign, and the factors must match exactly.
-        for got, ref in ((b.mu, want.mu), (b.progress, want.progress)):
-            assert (got is None and ref is None) or np.array_equal(got, ref)
+        for steps, ref in ((batched.mu, want.mu), (batched.progress, want.progress)):
+            assert (steps is None and ref is None) or np.array_equal(steps[i], ref)
 
 
 class TestRunAttacks:
@@ -456,17 +452,20 @@ class TestRunAttacks:
         batched = run_attacks(kind, net, xs, ys, self.CFG, rois=rois)
         looped = loop_reference(kind, net, xs, ys, rois, self.CFG)
         assert [i for i, r in enumerate(looped) if r is None] == [flat]
-        assert_same(batched, looped, xs)
+        assert_same(batched, looped, xs)  # the flat row unmoved: clean image, 0.0, 0.0, 0, False
+        assert np.flatnonzero(batched.zero).tolist() == [flat]
+        if kind in ROI_ATTACKS:
+            assert np.isnan(batched.mu[flat]).all() and np.isnan(batched.progress[flat]).all()
 
     @pytest.mark.parametrize("kind", ATTACK_NAMES)
     def test_mu_and_progress_per_step_for_roi_kinds_only(self, kind):
         net, xs, ys, rois = batch_problem()
-        for res in run_attacks(kind, net, xs, ys, self.CFG, rois=rois):
-            if kind in ROI_ATTACKS:
-                assert res.mu.dtype == res.progress.dtype == np.float64
-                assert res.mu.shape == res.progress.shape == (self.CFG.iterations,)
-            else:
-                assert res.mu is None and res.progress is None
+        res = run_attacks(kind, net, xs, ys, self.CFG, rois=rois)
+        if kind in ROI_ATTACKS:
+            assert res.mu.dtype == res.progress.dtype == np.float64
+            assert res.mu.shape == res.progress.shape == (xs.shape[0], self.CFG.iterations)
+        else:
+            assert res.mu is None and res.progress is None
 
     def test_pgd_start_noise_is_shared_across_rows(self, monkeypatch):
         net, _, ys, _ = batch_problem()
@@ -474,20 +473,21 @@ class TestRunAttacks:
         monkeypatch.setattr(Network, "input_gradient", lambda self, x, y: np.zeros_like(x))
         cfg = AttackConfig(epsilon=0.1, iterations=2, seed=11)
         noise = np.random.default_rng(cfg.seed).uniform(-cfg.epsilon, cfg.epsilon, size=xs.shape[1:])
-        for x, res in zip(xs, run_attacks("pgd", net, xs, ys, cfg)):
-            assert np.array_equal(res.adversarial, x + noise)
+        res = run_attacks("pgd", net, xs, ys, cfg)
+        for i in range(xs.shape[0]):
+            assert np.array_equal(res.adversarial[i], xs[i] + noise)
 
     def test_deepfool_batch_matches_per_sample_loop(self):
         net, xs, ys, _ = batch_problem()
         cfg = AttackConfig(epsilon=1.0, iterations=3, overshoot=0.02)
         batched = run_attacks("deepfool", net, xs, ys, cfg)
         looped = [run_attack("deepfool", net, x, y, cfg) for x, y in zip(xs, ys)]
-        for b, want in zip(batched, looped):
-            assert (b.success, b.iterations_used) == (want.success, want.iterations_used)
-            assert np.abs(b.adversarial - want.adversarial).max() <= 1e-15
+        for i, want in enumerate(looped):
+            assert (batched.success[i], batched.iterations_used[i]) == (want.success, want.iterations_used)
+            assert np.abs(batched.adversarial[i] - want.adversarial).max() <= 1e-15
         # Rows the network already misclassifies (the attack starts from
         # the prediction, not the label), rows that flip after one and two
         # steps, and rows that never flip in the budget all share chunks.
         assert (net.predict(xs) != ys).any()
-        outcomes = {(r.iterations_used, r.success) for r in batched}
+        outcomes = set(zip(batched.iterations_used.tolist(), batched.success.tolist()))
         assert {(1, True), (2, True), (3, False)} <= outcomes

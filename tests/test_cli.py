@@ -109,6 +109,7 @@ class TestCli:
         for rec in records:
             assert (rec["linf"], rec["l2_percent"], rec["iterations_used"]) == (0, 0.0, 0)
             assert rec["success"] is False
+            assert rec["zero_gradient"] is True
 
     def test_sweep_writes_csv(self, tmp_path, config_file):
         out = tmp_path / "sweep"

@@ -133,7 +133,7 @@ class TestRunExperiment:
 
         def recording(kind, net, xs, ys, acfg, rois=None):
             results = real_attacks(kind, net, xs, ys, acfg, rois=rois)
-            attacked.append((kind, results[0]))
+            attacked.append((kind, results))
             return results
 
         zero_gradient_at(flat)
@@ -141,8 +141,8 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert [kind for kind, _ in attacked] == ["mifgsm", "mifgsm"]  # the attack row, then the defence row
         for _, res in attacked:
-            assert np.array_equal(res.adversarial, flat)
-            assert (res.linf, res.l2_percent, res.iterations_used, res.success) == (0.0, 0.0, 0, False)
+            assert np.array_equal(res.adversarial[0], flat)
+            assert (res.linf[0], res.l2_percent[0], res.iterations_used[0], res.success[0]) == (0.0, 0.0, 0, False)
         defence = next(r for r in rows if r.row == "defence" and r.trial == 0)
         assert 0.0 <= defence.accuracy_under_attack <= 1.0
 
