@@ -6,9 +6,8 @@
 
 `dump` imports advlab from DIR/src, runs `run_experiment` on each of
 `perfbench/configs/{train,attack,defend}.ini` of this checkout (so both
-trees see the same configs; `--configs` picks a subset) and writes every
-report row without `seconds_per_sample`, the one column that is a
-wall-clock time. Floats are written exactly (JSON floats round-trip), so
+trees see the same configs) and writes every report row without
+`seconds_per_sample`, the one column that is a wall-clock time. Floats are written exactly (JSON floats round-trip), so
 `diff` compares them bit for bit, NaN equal to NaN. `diff` prints each
 differing cell and exits 1 when any row differs. The script reads the
 configs and never writes them.
@@ -29,13 +28,13 @@ CONFIGS = ("train", "attack", "defend")
 TIMED = "seconds_per_sample"
 
 
-def dump(tree: Path, names: list[str]) -> dict[str, list[dict]]:
+def dump(tree: Path) -> dict[str, list[dict]]:
     """Config name -> its report rows as dicts, TIMED left out."""
     sys.path.insert(0, str(tree.resolve() / "src"))
     from advlab.bench import parse_config, run_experiment
 
     rows = {}
-    for name in names:
+    for name in CONFIGS:
         report = run_experiment(parse_config(CONFIG_DIR / f"{name}.ini"))
         rows[name] = [{k: v for k, v in dataclasses.asdict(r).items() if k != TIMED} for r in report]
     return rows
@@ -64,14 +63,13 @@ def main(argv=None) -> int:
     d = sub.add_parser("dump", help="write one tree's report rows")
     d.add_argument("--tree", required=True, type=Path, help="advlab checkout whose src/ to import")
     d.add_argument("--out", required=True, type=Path)
-    d.add_argument("--configs", default=",".join(CONFIGS), help="comma-separated perfbench config names")
     c = sub.add_parser("diff", help="compare two dumps")
     c.add_argument("a", type=Path)
     c.add_argument("b", type=Path)
     args = parser.parse_args(argv)
 
     if args.command == "dump":
-        rows = dump(args.tree, args.configs.split(","))
+        rows = dump(args.tree)
         args.out.write_text(json.dumps(rows, indent=1) + "\n")
         print(f"{sum(map(len, rows.values()))} rows of {', '.join(rows)} -> {args.out}")
         return 0
