@@ -43,7 +43,8 @@ print(f"grayscale range: {gray.min()}..{gray.max()}")
 # 2. automatic threshold from the intensity histogram
 hist = compute_histogram(gray, bins=256)
 t = otsu_threshold(hist)
-print(f"threshold t* = {t} (between-class variance {hist.between_class_variance(t):.1f})")
+below = int(hist.counts[:t].sum())
+print(f"threshold t* = {t} (class sizes: {below} px below, {gray.size - below} px at or above)")
 
 # 3. binarize and dilate
 fg = binarize(gray, t)

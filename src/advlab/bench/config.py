@@ -45,15 +45,18 @@ class NetworkSpec:
     scale: float = 1.0
 
 
+SWEEP_AXES = ("epsilon", "decay_weight", "overshoot")  # AttackConfig fields a sweep can vary
+
+
 @dataclass
 class SweepSpec:
-    axis: str = "epsilon"  # epsilon | decay_weight | overshoot
+    axis: str = "epsilon"  # one of SWEEP_AXES
     values: tuple = ()
     attacks: tuple = ()
     samples: int = 100
 
     def __post_init__(self):
-        if self.axis not in ("epsilon", "decay_weight", "overshoot"):
+        if self.axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if len(self.values) == 0:
             raise ValueError("sweep values must be nonempty")

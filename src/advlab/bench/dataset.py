@@ -87,6 +87,11 @@ def load_dataset(manifest_path: str | Path) -> LoadedDataset:
         seed = int(payload["seed"])
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise BadFormatError(f"{manifest_path}: malformed manifest ({exc})") from exc
+    if not isinstance(entries, list) or not entries:
+        raise BadFormatError(f"{manifest_path}: entries must be a non-empty list, got {entries!r}")
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict) or "image" not in e:
+            raise BadFormatError(f"{manifest_path}: entry {i} has no image: {e!r}")
     root = manifest_path.parent
 
     images, labels, rois = [], [], []

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .attacks import run_attacks
-from .bench.config import parse_config
+from .bench.config import SWEEP_AXES, parse_config
 from .bench.dataset import synth_dataset
 from .bench.report import emit_report
 from .bench.runner import (
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="hyperparameter sweep, CSV output")
     _add_common(p)
-    p.add_argument("--axis", choices=("epsilon", "decay_weight", "overshoot"), default=None)
+    p.add_argument("--axis", choices=SWEEP_AXES, default=None)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="full experiment, CSV + JSON reports")

@@ -3,7 +3,6 @@
 from .contours import Contour, fill_holes, fill_outer_contour, trace_borders
 from .ops import (
     Histogram,
-    apply_mask,
     binarize,
     compute_histogram,
     dilate,
@@ -18,7 +17,6 @@ from .roi import roi_mask
 __all__ = [
     "Contour",
     "Histogram",
-    "apply_mask",
     "binarize",
     "compute_histogram",
     "dilate",

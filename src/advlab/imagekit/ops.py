@@ -1,4 +1,4 @@
-"""Grayscale conversion, histogram statistics, thresholding, dilation, masking.
+"""Grayscale conversion, histogram counts, Otsu thresholding, binarization, dilation.
 
 Images are float arrays of shape (H, W, C) with values in [0, 1], C in {1, 3}.
 Grayscale images are integer arrays of shape (H, W) quantized to `bins` levels.
@@ -7,7 +7,7 @@ Binary masks are boolean arrays of shape (H, W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,65 +43,17 @@ def to_grayscale(img: np.ndarray, bins: int = 256) -> np.ndarray:
 
 @dataclass
 class Histogram:
-    """Intensity histogram plus the class moments used by Otsu thresholding.
+    """Pixel count per intensity level, the input of Otsu thresholding.
 
-    `p[i]` is the probability of level i. When built from pixel counts the
-    integer counts are kept alongside; Otsu's threshold search needs them,
-    as it compares candidates in exact arithmetic. For a split at
-    threshold t, class 0 is [0, t) and class 1 is [t, L).
+    For a split at threshold t, class 0 is [0, t) and class 1 is [t, L).
     """
 
-    p: np.ndarray
-    counts: np.ndarray | None = None
-    bins: int = field(init=False)
+    counts: np.ndarray
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        self.bins = int(self.p.size)
-        if self.bins < 2:
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.counts.size < 2:
             raise ValueError("histogram needs at least 2 bins")
-        total = float(self.p.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        if self.counts is not None:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.size != self.bins:
-                raise ValueError("counts and p must have equal length")
-
-    @property
-    def mean_total(self) -> float:
-        return float(np.arange(self.bins) @ self.p)
-
-    @property
-    def variance_total(self) -> float:
-        levels = np.arange(self.bins, dtype=float)
-        return float(((levels - self.mean_total) ** 2) @ self.p)
-
-    def class_probabilities(self, t: int) -> tuple[float, float]:
-        """(w0, w1) for threshold t: mass below t and mass at/above t."""
-        w0 = float(self.p[:t].sum())
-        return w0, float(self.p[t:].sum())
-
-    def class_means(self, t: int) -> tuple[float, float]:
-        """(m0, m1) conditional means of the two classes split at t."""
-        levels = np.arange(self.bins, dtype=float)
-        w0, w1 = self.class_probabilities(t)
-        m0 = float(levels[:t] @ self.p[:t]) / w0 if w0 > 0 else 0.0
-        m1 = float(levels[t:] @ self.p[t:]) / w1 if w1 > 0 else 0.0
-        return m0, m1
-
-    def between_class_variance(self, t: int) -> float:
-        w0, w1 = self.class_probabilities(t)
-        m0, m1 = self.class_means(t)
-        return w0 * w1 * (m0 - m1) ** 2
-
-    def within_class_variance(self, t: int) -> float:
-        levels = np.arange(self.bins, dtype=float)
-        w0, w1 = self.class_probabilities(t)
-        m0, m1 = self.class_means(t)
-        v0 = float(((levels[:t] - m0) ** 2) @ self.p[:t]) / w0 if w0 > 0 else 0.0
-        v1 = float(((levels[t:] - m1) ** 2) @ self.p[t:]) / w1 if w1 > 0 else 0.0
-        return w0 * v0 + w1 * v1
 
 
 def compute_histogram(gray: np.ndarray, bins: int = 256) -> Histogram:
@@ -111,7 +63,7 @@ def compute_histogram(gray: np.ndarray, bins: int = 256) -> Histogram:
     if gray.min() < 0 or gray.max() >= bins:
         raise ValueError(f"grayscale values must lie in [0, {bins - 1}]")
     counts = np.bincount(gray.ravel(), minlength=bins)
-    return Histogram(counts / gray.size, counts=counts)
+    return Histogram(counts)
 
 
 def otsu_threshold(hist: Histogram) -> int:
@@ -122,11 +74,8 @@ def otsu_threshold(hist: Histogram) -> int:
     and each t is scored by (S0*C1 - S1*C0)^2 / (C0*C1), which is n^2 times
     the between-class variance. Candidates are ranked by cross-multiplying
     over Python integers, so ties resolve to the smallest maximizing t.
-    Raises ValueError for a histogram built without counts and
-    DegenerateImageError when only one bin is populated.
+    Raises DegenerateImageError when only one bin is populated.
     """
-    if hist.counts is None:
-        raise ValueError("otsu_threshold needs a histogram with counts (see compute_histogram)")
     if np.count_nonzero(hist.counts) < 2:
         raise DegenerateImageError("histogram has a single populated bin")
     counts = [int(c) for c in hist.counts]
@@ -191,13 +140,3 @@ def dilate(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             dst_c = slice(max(0, -dj), min(w, w - dj))
             out[dst_r, dst_c] |= mask[src_r, src_c]
     return out
-
-
-def apply_mask(img: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Zero every pixel outside the mask, across all channels."""
-    validate_image(img)
-    if mask.shape != img.shape[:2]:
-        raise DimensionMismatchError(
-            f"mask shape {mask.shape} does not match image {img.shape[:2]}"
-        )
-    return img * mask[:, :, None]

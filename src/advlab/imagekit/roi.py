@@ -29,7 +29,6 @@ from .ops import (
 def roi_mask(
     img: np.ndarray,
     kernel: np.ndarray | None = None,
-    bins: int = 256,
     invert: bool = False,
     threshold: int | None = None,
 ) -> np.ndarray:
@@ -46,9 +45,9 @@ def roi_mask(
     validate_image(img)
     if kernel is None:
         kernel = square_kernel(5)
-    gray = to_grayscale(img, bins)
+    gray = to_grayscale(img)
     if threshold is None:
-        threshold = otsu_threshold(compute_histogram(gray, bins))
+        threshold = otsu_threshold(compute_histogram(gray))
     fg = binarize(gray, threshold, invert=invert)
     fg = dilate(fg, kernel)
     if not fg.any():

@@ -110,6 +110,23 @@ class TestDatasetFiles:
         with pytest.raises(BadLabelError, match="img_00000"):
             load_dataset(manifest.path())
 
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ([], r"entries must be a non-empty list"),
+            ({"0": {"image": "img_00000.pgm", "label": 0}}, r"entries must be a non-empty list"),
+            ([{"image": "img_00000.pgm", "label": 0}, {"label": 1}], r"entry 1 has no image"),
+            ([{"image": "img_00000.pgm", "label": 0}, "img_00001.pgm"], r"entry 1 has no image"),
+        ],
+    )
+    def test_malformed_entries_rejected(self, tmp_path, entries, match):
+        manifest = synth_dataset(tmp_path / "ds", n=4, size=32, seed=0)
+        payload = json.loads(manifest.path().read_text())
+        payload["entries"] = entries
+        manifest.path().write_text(json.dumps(payload))
+        with pytest.raises(BadFormatError, match=match):
+            load_dataset(manifest.path())
+
     def test_corrupt_image_named(self, tmp_path):
         manifest = synth_dataset(tmp_path / "ds", n=4, size=32, seed=0)
         (tmp_path / "ds" / "img_00001.pgm").write_bytes(b"P5\nbroken")

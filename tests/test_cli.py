@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from advlab.cli import main
+from advlab.bench.config import SWEEP_AXES
+from advlab.cli import build_parser, main
 from advlab.imagekit import read_mask, write_image
 
 SMALL_CONFIG = """
@@ -117,6 +118,19 @@ class TestCli:
         csv_text = (out / "clismoke_sweep_epsilon.csv").read_text()
         assert csv_text.splitlines()[0] == "attack,axis,value,roc_auc"
         assert len(csv_text.splitlines()) == 3
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_sweep_axis_choices_are_sweep_axes(self, axis):
+        args = build_parser().parse_args(["sweep", "--config", "exp.ini", "--axis", axis])
+        assert args.axis == axis
+
+    def test_malformed_manifest_exits_with_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"seed": 0, "split": {"train": 0.5}, "entries": [{"label": 0}]}))
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace("seed = 4\n", f"seed = 4\nmanifest = {manifest}\n"))
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "entry 0 has no image" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, edit",

@@ -1,4 +1,4 @@
-"""Grayscale, histogram, Otsu threshold, binarize, dilate, apply_mask."""
+"""Grayscale, histogram counts, Otsu threshold, binarize, dilate."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,6 @@ import pytest
 from advlab.errors import DegenerateImageError, DimensionMismatchError
 from advlab.imagekit import (
     Histogram,
-    apply_mask,
     binarize,
     compute_histogram,
     dilate,
@@ -78,11 +77,11 @@ class TestHistogram:
     def test_two_value_image(self):
         gray = np.array([[0, 0], [255, 255]])
         h = compute_histogram(gray, 256)
-        assert h.p[0] == 0.5 and h.p[255] == 0.5
+        assert h.counts[0] == 2 and h.counts[255] == 2 and h.counts.sum() == 4
 
     def test_constant_image(self):
         h = compute_histogram(np.full((3, 3), 42), 256)
-        assert h.p[42] == 1.0
+        assert h.counts[42] == 9 and h.counts.sum() == 9
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(11)
@@ -90,18 +89,11 @@ class TestHistogram:
         h = compute_histogram(gray, 256)
         for level in range(256):
             count = sum(1 for v in gray.ravel() if v == level)
-            assert h.p[level] == count / 256
+            assert h.counts[level] == count
 
-    def test_probability_closure(self):
-        rng = np.random.default_rng(3)
-        gray = rng.integers(0, 256, size=(8, 8))
-        h = compute_histogram(gray, 256)
-        assert abs(h.p.sum() - 1.0) < 1e-9
-        for t in range(1, 256):
-            w0, w1 = h.class_probabilities(t)
-            m0, m1 = h.class_means(t)
-            assert abs(w0 + w1 - 1.0) < 1e-9
-            assert abs(w0 * m0 + w1 * m1 - h.mean_total) < 1e-9
+    def test_fewer_than_two_bins_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 bins"):
+            Histogram(np.array([5]))
 
 
 class TestOtsu:
@@ -109,7 +101,7 @@ class TestOtsu:
         counts = np.zeros(256, dtype=np.int64)
         counts[50] = 32
         counts[200] = 32
-        h = Histogram(counts / 64, counts=counts)
+        h = Histogram(counts)
         t = otsu_threshold(h)
         assert 50 < t <= 200
         assert t == otsu_oracle(counts)
@@ -125,34 +117,6 @@ class TestOtsu:
             gray = rng.integers(0, 256, size=(8, 8))
             h = compute_histogram(gray, 256)
             assert otsu_threshold(h) == otsu_oracle(h.counts)
-
-    def test_histogram_without_counts_rejected(self):
-        gray = np.random.default_rng(5).integers(0, 64, size=(8, 8))
-        h = compute_histogram(gray, 64)
-        with pytest.raises(ValueError, match="counts"):
-            otsu_threshold(Histogram(h.p.copy()))
-
-    def test_maximizes_between_class_variance(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            gray = rng.integers(0, 256, size=(8, 8))
-            h = compute_histogram(gray, 256)
-            t_star = otsu_threshold(h)
-            best = h.between_class_variance(t_star)
-            for t in range(1, 256):
-                assert best >= h.between_class_variance(t) - 1e-9
-
-    def test_variance_decomposition(self):
-        rng = np.random.default_rng(17)
-        gray = rng.integers(0, 256, size=(8, 8))
-        h = compute_histogram(gray, 256)
-        for t in range(1, 256, 17):
-            w0, _ = h.class_probabilities(t)
-            if w0 in (0.0, 1.0):
-                continue
-            total = h.between_class_variance(t) + h.within_class_variance(t)
-            assert abs(total - h.variance_total) < 1e-9
-            assert h.between_class_variance(t) >= 0.0
 
 
 class TestBinarize:
@@ -252,31 +216,3 @@ class TestDilate:
         for h, w in [(1, 1), (2, 6), (6, 2), (size // 2, size // 2), (size // 2, 9)]:
             mask = rng.random((h, w)) < 0.4
             assert (dilate(mask, kernel) == dilate_oracle(mask, kernel)).all()
-
-
-class TestApplyMask:
-    def test_full_mask_is_identity(self):
-        rng = np.random.default_rng(37)
-        img = rng.random((5, 5, 3))
-        mask = np.ones((5, 5), dtype=bool)
-        assert (apply_mask(img, mask) == img).all()
-
-    def test_empty_mask_zeroes(self):
-        img = np.random.default_rng(41).random((5, 5, 1))
-        mask = np.zeros((5, 5), dtype=bool)
-        assert (apply_mask(img, mask) == 0).all()
-
-    def test_half_mask_select(self):
-        rng = np.random.default_rng(43)
-        img = rng.random((4, 6, 3))
-        mask = np.zeros((4, 6), dtype=bool)
-        mask[:, :3] = True
-        out = apply_mask(img, mask)
-        for i in range(4):
-            for j in range(6):
-                expected = img[i, j] if mask[i, j] else 0.0
-                assert (out[i, j] == expected).all()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_mask(np.zeros((4, 4, 1)), np.zeros((5, 5), dtype=bool))
