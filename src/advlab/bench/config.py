@@ -19,6 +19,12 @@ from ..errors import BadFormatError
 from ..gradnet import TrainConfig
 
 
+def check_split(train: int, test: int, what: str) -> None:
+    """Raise ValueError when a split leaves its train or test side empty."""
+    if train < 1 or test < 1:
+        raise ValueError(f"{what} leaves the train or test split empty")
+
+
 @dataclass
 class DatasetSpec:
     n: int = 500
@@ -28,10 +34,9 @@ class DatasetSpec:
     manifest: str | None = None
 
     def __post_init__(self):
-        if not self.manifest and not 0 < self.train_size < self.n:
-            raise ValueError(
-                f"train_fraction {self.train_fraction} of n = {self.n} leaves the train or test split empty"
-            )
+        if not self.manifest:
+            what = f"train_fraction {self.train_fraction} of n = {self.n}"
+            check_split(self.train_size, self.n - self.train_size, what)
 
     @property
     def train_size(self) -> int:

@@ -92,6 +92,13 @@ def load_dataset(manifest_path: str | Path) -> LoadedDataset:
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or "image" not in e:
             raise BadFormatError(f"{manifest_path}: entry {i} has no image: {e!r}")
+    if not isinstance(split, dict):
+        raise BadFormatError(f"{manifest_path}: split must be an object, got {split!r}")
+    for key, frac in split.items():
+        if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not 0.0 <= frac <= 1.0:
+            raise BadFormatError(f"{manifest_path}: split {key!r} must be a number in [0, 1], got {frac!r}")
+    if split.get("train", 0.0) + split.get("val", 0.0) > 1.0:
+        raise BadFormatError(f"{manifest_path}: split train + val exceeds 1: {split!r}")
     root = manifest_path.parent
 
     images, labels, rois = [], [], []

@@ -28,7 +28,7 @@ from ..gradnet import (
     train,
 )
 from ..metrics import accuracy, roc_auc
-from .config import ExperimentConfig, SweepSpec
+from .config import ExperimentConfig, SweepSpec, check_split
 from .dataset import load_dataset
 from .report import COLUMNS, ReportRow
 from .synth import generate_images
@@ -73,6 +73,7 @@ def prepare_trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
         loaded = load_dataset(ds.manifest)
         tr = loaded.split_indices["train"]
         te = loaded.split_indices["test"]
+        check_split(len(tr), len(te), f"manifest {ds.manifest} split of n = {len(loaded.labels)}")
         return TrialData(loaded.images[tr], loaded.labels[tr], loaded.images[te], loaded.labels[te])
     images, labels, _ = generate_images(ds.n, ds.size, seed=ds.seed + trial)
     k = ds.train_size

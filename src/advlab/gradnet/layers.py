@@ -1,11 +1,20 @@
 """Layer specifications and their forward/backward kernels.
 
-All activations are channels-last: batches are (N, H, W, C) before
-flattening and (N, D) after. Convolution uses an im2col matmul; its cache
-keeps the patch matrix so the backward pass is a pair of matmuls plus a
-col2im scatter. `conv_backward` computes only the gradients its caller
-asks for: training needs no input gradient from the first layer, and an
-input gradient needs no dW/db.
+The public layout is channels-last: `Network` takes and returns image
+batches as (N, H, W, C). Inside the network, conv, pooling and dropout
+activations are channels-first, (N, C, H, W), so every copy, add and
+strided view below runs along image rows of length W; `flatten`
+emits the (H, W, C) row order the dense weights expect. Activations are
+(N, D) after flattening. The batch is axis 0 of every kernel argument.
+
+Convolution uses an im2col matmul. Its patch matrix `cols` is
+(kh*kw*C, N*oh*ow), filled by one row-slice copy per kernel offset, with
+rows in (a, b, c) order so that `w.reshape(K, F)` (w is (kh, kw, C, F))
+multiplies it directly. The cache keeps `cols`, so the backward pass is
+a pair of matmuls plus a col2im of kh*kw row-contiguous adds.
+`conv_backward` computes only the gradients its caller asks for:
+training needs no input gradient from the first layer, and an input
+gradient needs no dW/db.
 
 Max-pooling works on the window*window strided views of its input, one
 per window offset in raster order. The forward takes their running max
@@ -23,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NonPositiveTemperatureError
 
@@ -99,45 +107,46 @@ def softmax(temperature: float = 1.0) -> LayerSpec:
 
 
 def conv_forward(x, w, b, pad, stride):
-    n, h, wd, _ = x.shape
-    kh, kw, cin, f = w.shape
+    n, cin, h, wd = x.shape
+    kh, kw, _, f = w.shape
     if pad == "same":
         p = kh // 2
-        xp = np.zeros((n, h + 2 * p, wd + 2 * p, cin), dtype=x.dtype)
-        xp[:, p : p + h, p : p + wd] = x
+        xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + wd] = x
     else:
         p = 0
         xp = x
-    view = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    oh, ow = view.shape[1], view.shape[2]
-    cols = np.ascontiguousarray(view.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        n, oh, ow, kh * kw * cin
-    )
-    y = cols @ w.reshape(-1, f)
-    y += b
+    oh, ow = (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
+    cols = np.empty((kh, kw, cin, n, oh, ow), dtype=x.dtype)
+    for a in range(kh):
+        for c in range(kw):
+            cols[a, c] = xp[:, :, a : a + oh * stride : stride, c : c + ow * stride : stride].transpose(1, 0, 2, 3)
+    cols = cols.reshape(kh * kw * cin, n * oh * ow)
+    y = w.reshape(-1, f).T @ cols
+    y += b[:, None]
     cache = (cols, x.shape, xp.shape, p)
-    return y, cache
+    return y.reshape(f, n, oh, ow).transpose(1, 0, 2, 3), cache
 
 
 def conv_backward(dy, w, cache, stride, need_dx=True, need_params=True):
     """(dx, dw, db) of a conv layer; a gradient not asked for is None."""
     cols, x_shape, xp_shape, p = cache
     kh, kw, cin, f = w.shape
-    n, oh, ow, _ = dy.shape
+    n, _, oh, ow = dy.shape
+    dy = dy.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
     dx = dw = db = None
     if need_params:
-        db = dy.sum(axis=(0, 1, 2))
-        dw = (cols.reshape(-1, kh * kw * cin).T @ dy.reshape(-1, f)).reshape(w.shape)
+        db = dy.sum(axis=1)
+        dw = (cols @ dy.T).reshape(w.shape)
     if need_dx:
-        dcols = (dy @ w.reshape(-1, f).T).reshape(n, oh, ow, kh, kw, cin)
+        # (kh, kw, N, C, oh, ow) view of the (K, N*oh*ow) product
+        dcols = (w.reshape(-1, f) @ dy).reshape(kh, kw, cin, n, oh, ow).transpose(0, 1, 3, 2, 4, 5)
         dxp = np.zeros(xp_shape)
         for a in range(kh):
             for c in range(kw):
-                dxp[:, a : a + oh * stride : stride, c : c + ow * stride : stride, :] += dcols[
-                    :, :, :, a, c, :
-                ]
-        _, h, wd, _ = x_shape
-        dx = dxp[:, p : p + h, p : p + wd, :]
+                dxp[:, :, a : a + oh * stride : stride, c : c + ow * stride : stride] += dcols[a, c]
+        _, _, h, wd = x_shape
+        dx = dxp[:, :, p : p + h, p : p + wd]
     return dx, dw, db
 
 
@@ -147,7 +156,7 @@ def _window_views(a, window, stride, oh, ow):
     (k // window, k % window) of window (i, j)."""
     span_h, span_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
     return [
-        a[:, r : r + span_h : stride, c : c + span_w : stride]
+        a[:, :, r : r + span_h : stride, c : c + span_w : stride]
         for r in range(window)
         for c in range(window)
     ]
@@ -155,7 +164,7 @@ def _window_views(a, window, stride, oh, ow):
 
 def maxpool_forward(x, window, stride, keep=True):
     """(y, cache) of a max-pool layer; without keep the cache is None."""
-    _, h, w, _ = x.shape
+    h, w = x.shape[2:]
     oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
     views = _window_views(x, window, stride, oh, ow)
     y = views[0].copy()
@@ -163,26 +172,35 @@ def maxpool_forward(x, window, stride, keep=True):
         np.maximum(y, view, out=y)
     if not keep:
         return y, None
-    # Scan the offsets backwards so the first offset holding the max wins.
-    idx = np.full(y.shape, len(views) - 1, dtype=np.intp)
-    for k in range(len(views) - 2, -1, -1):
-        np.copyto(idx, k, where=views[k] == y)
+    # idx counts the offsets before the first one that holds the max.
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
+    found = np.zeros(y.shape, dtype=bool)
+    for view in views[:-1]:
+        found |= view == y
+        idx += ~found
     return y, (idx, x.shape)
 
 
 def maxpool_backward(dy, cache, window, stride):
     idx, x_shape = cache
     dx = np.zeros(x_shape)
-    oh, ow = idx.shape[1], idx.shape[2]
+    oh, ow = idx.shape[2:]
     for k, view in enumerate(_window_views(dx, window, stride, oh, ow)):
-        view += np.where(idx == k, dy, 0.0)
+        view += dy * (idx == k)
     return dx
 
 
 def dropout_forward(x, rate, rng, train):
+    """Inverted dropout. An image mask is drawn in (N, H, W, C) element
+    order, the public layout, so a seeded network draws the same mask
+    whatever its internal layout."""
     if not train or rate == 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    if x.ndim == 4:
+        draw = rng.random(x.transpose(0, 2, 3, 1).shape).transpose(0, 3, 1, 2)
+    else:
+        draw = rng.random(x.shape)
+    mask = (draw >= rate) / (1.0 - rate)
     return x * mask, mask
 
 

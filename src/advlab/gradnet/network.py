@@ -142,9 +142,10 @@ class Network:
 
         Without keep it is an inference forward and keeps no backward
         state: no ReLU mask or pooling index is built, and every cache
-        is None.
+        is None. An image batch runs channels-first, (N, C, H, W), from
+        the first layer to `flatten`.
         """
-        act = xb
+        act = xb.transpose(0, 3, 1, 2) if xb.ndim == 4 else xb
         caches = []
         for spec, params in zip(self.specs[:-1], self.params[:-1]):
             act, cache = self._layer_forward(spec, params, act, train, keep)
@@ -174,7 +175,7 @@ class Network:
             return dropout_forward(act, spec.rate, self.rng, train)
         if k == "flatten":
             n = act.shape[0]
-            return act.reshape(n, -1), act.shape
+            return act.transpose(0, 2, 3, 1).reshape(n, -1), act.shape
         if k == "dense":
             return act @ params["w"] + params["b"], act
         raise AssertionError(f"unexpected mid-stack layer {k}")
@@ -283,12 +284,15 @@ class Network:
             elif k == "dropout":
                 dact = dropout_backward(dact, cache)
             elif k == "flatten":
-                dact = dact.reshape(cache)
+                n, c, h, w = cache
+                dact = dact.reshape(n, h, w, c).transpose(0, 3, 1, 2)
             elif k == "dense":
                 if need_params:
                     grads[i] = {"w": cache.T @ dact, "b": dact.sum(axis=0)}
                 dact = dact @ params["w"].T if need_dx else None
-        return grads if need_params else dact
+        if need_params:
+            return grads
+        return dact.transpose(0, 2, 3, 1) if dact.ndim == 4 else dact
 
     def _backward(self, xb, yb, train: bool, need_params: bool):
         """Loss and one kind of gradient of a batch: with need_params the

@@ -17,6 +17,7 @@ from advlab.bench import (
     load_dataset,
     load_report_json,
     parse_config,
+    prepare_trial_data,
     synth_dataset,
 )
 from advlab.bench.config import DatasetSpec, SweepSpec
@@ -126,6 +127,31 @@ class TestDatasetFiles:
         manifest.path().write_text(json.dumps(payload))
         with pytest.raises(BadFormatError, match=match):
             load_dataset(manifest.path())
+
+    @pytest.mark.parametrize(
+        "split, match",
+        [
+            ([0.8, 0.2], r"split must be an object"),
+            ({"train": "most"}, r"split 'train' must be a number in \[0, 1\]"),
+            ({"train": -0.5}, r"split 'train' must be a number in \[0, 1\]"),
+            ({"train": 0.8, "val": True}, r"split 'val' must be a number in \[0, 1\]"),
+            ({"train": 0.9, "val": 0.9}, r"split train \+ val exceeds 1"),
+        ],
+    )
+    def test_malformed_split_rejected(self, tmp_path, split, match):
+        manifest = synth_dataset(tmp_path / "ds", n=4, size=32, seed=0)
+        payload = json.loads(manifest.path().read_text())
+        payload["split"] = split
+        manifest.path().write_text(json.dumps(payload))
+        with pytest.raises(BadFormatError, match=match):
+            load_dataset(manifest.path())
+
+    @pytest.mark.parametrize("split", [{"train": 1.0}, {"train": 0.0, "val": 0.5}, {"train": 0.5, "val": 0.5}])
+    def test_manifest_split_leaving_a_side_empty_rejected(self, tmp_path, split):
+        manifest = synth_dataset(tmp_path / "ds", n=4, size=32, seed=0, split=split)
+        cfg = ExperimentConfig(dataset=DatasetSpec(manifest=str(manifest.path())))
+        with pytest.raises(ValueError, match="leaves the train or test split empty"):
+            prepare_trial_data(cfg, 0)
 
     def test_corrupt_image_named(self, tmp_path):
         manifest = synth_dataset(tmp_path / "ds", n=4, size=32, seed=0)

@@ -1,6 +1,9 @@
-"""Max-pooling kernels against the argmax/np.add.at formulation, the
-partial backward passes against a full one, and inference forwards
-against training ones."""
+"""Conv kernels against an NHWC direct sum, max-pooling kernels against
+the argmax/np.add.at formulation, the dropout draw order, the partial
+backward passes against a full one, and inference forwards against
+training ones.
+
+Kernels take and return channels-first (N, C, H, W) activations."""
 
 import numpy as np
 import pytest
@@ -9,16 +12,73 @@ from numpy.lib.stride_tricks import sliding_window_view
 import advlab.gradnet.network as network
 from advlab.bench.runner import network_specs
 from advlab.gradnet import build, conv, dense, flatten, maxpool, relu, sigmoid
-from advlab.gradnet.layers import conv_backward, maxpool_backward, maxpool_forward
+from advlab.gradnet.layers import (
+    conv_backward,
+    conv_forward,
+    dropout_forward,
+    maxpool_backward,
+    maxpool_forward,
+)
 from advlab.gradnet.train import evaluate
+
+
+def oracle_conv(x, w, b, pad, stride):
+    """Channels-last direct sum: (windows, y) with x and y in (N, H, W, C)."""
+    if pad == "same":
+        p = w.shape[0] // 2
+        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    windows = sliding_window_view(x, w.shape[:2], axis=(1, 2))[:, ::stride, ::stride]
+    return windows, np.einsum("nijcab,abcf->nijf", windows, w) + b
+
+
+def oracle_conv_backward(x, w, dy, pad, stride):
+    """(dx, dw, db) of the direct sum, all channels-last."""
+    kh, kw = w.shape[:2]
+    p = kh // 2 if pad == "same" else 0
+    windows, _ = oracle_conv(x, w, 0.0, pad, stride)
+    oh, ow = dy.shape[1:3]
+    dwin = np.einsum("nijf,abcf->nijcab", dy, w)
+    dxp = np.zeros((x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p, x.shape[3]))
+    for a in range(kh):
+        for c in range(kw):
+            dxp[:, a : a + oh * stride : stride, c : c + ow * stride : stride] += dwin[..., a, c]
+    dx = dxp[:, p : p + x.shape[1], p : p + x.shape[2]]
+    return dx, np.einsum("nijcab,nijf->abcf", windows, dy), dy.sum(axis=(0, 1, 2))
+
+
+def nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
+
+def nhwc(a):
+    return a.transpose(0, 2, 3, 1)
+
+
+class TestConvAgainstOracle:
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("pad, stride", [("same", 1), ("valid", 1), ("valid", 2)])
+    def test_forward_and_backward(self, n, pad, stride):
+        rng = np.random.default_rng(n * 10 + stride)
+        x = rng.standard_normal((n, 9, 12, 3))
+        w, b = rng.standard_normal((3, 3, 3, 5)), rng.standard_normal(5)
+        y, cache = conv_forward(nchw(x), w, b, pad, stride)
+        _, y_ref = oracle_conv(x, w, b, pad, stride)
+        assert y.shape == nchw(y_ref).shape
+        np.testing.assert_allclose(nhwc(y), y_ref, rtol=0, atol=1e-12)
+        dy = rng.standard_normal(y_ref.shape)
+        dx, dw, db = conv_backward(nchw(dy), w, cache, stride)
+        dx_ref, dw_ref, db_ref = oracle_conv_backward(x, w, dy, pad, stride)
+        np.testing.assert_allclose(nhwc(dx), dx_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dw, dw_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(db, db_ref, rtol=0, atol=1e-12)
 
 
 def oracle_maxpool_forward(x, window, stride):
     """Window copy, argmax and take_along_axis."""
-    n, _, _, c = x.shape
-    view = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
-    oh, ow = view.shape[1], view.shape[2]
-    flat = view.reshape(n, oh, ow, c, window * window)
+    n, c = x.shape[:2]
+    view = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = view.shape[2], view.shape[3]
+    flat = view.reshape(n, c, oh, ow, window * window)
     idx = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
     return y, idx
@@ -26,10 +86,9 @@ def oracle_maxpool_forward(x, window, stride):
 
 def oracle_maxpool_backward(dy, idx, x_shape, window, stride):
     """Scatter dy to each window's argmax with np.add.at."""
-    n, oh, ow, c = idx.shape
     dx = np.zeros(x_shape)
-    ni, oi, oj, ci = np.indices((n, oh, ow, c))
-    np.add.at(dx, (ni, oi * stride + idx // window, oj * stride + idx % window, ci), dy)
+    ni, ci, oi, oj = np.indices(idx.shape)
+    np.add.at(dx, (ni, ci, oi * stride + idx // window, oj * stride + idx % window), dy)
     return dx
 
 
@@ -37,15 +96,15 @@ def relu_activations(rng, shape, zero_windows=0):
     """ReLU'd noise with some all-zero (fully tied) 2x2 windows."""
     x = np.maximum(rng.standard_normal(shape), 0.0)
     for _ in range(zero_windows):
-        b, i, j = rng.integers(shape[0]), rng.integers(shape[1] // 2), rng.integers(shape[2] // 2)
-        x[b, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, :] = 0.0
+        b, i, j = rng.integers(shape[0]), rng.integers(shape[2] // 2), rng.integers(shape[3] // 2)
+        x[b, :, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = 0.0
     return x
 
 
 class TestMaxpoolAgainstOracle:
-    @pytest.mark.parametrize("shape", [(1, 8, 8, 3), (16, 8, 8, 3), (1, 7, 9, 2), (16, 15, 13, 4)])
+    @pytest.mark.parametrize("shape", [(1, 3, 8, 8), (16, 3, 8, 8), (1, 2, 7, 9), (16, 4, 15, 13)])
     def test_bit_identical_non_overlapping(self, shape):
-        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        rng = np.random.default_rng(shape[0] * 100 + shape[2])
         x = relu_activations(rng, shape, zero_windows=2 * shape[0])
         y, cache = maxpool_forward(x, 2, 2)
         y_ref, idx_ref = oracle_maxpool_forward(x, 2, 2)
@@ -59,24 +118,24 @@ class TestMaxpoolAgainstOracle:
         assert not np.signbit(dx[dx == 0.0]).any()
 
     def test_all_zero_input_routes_to_first_offset(self):
-        x = np.zeros((2, 4, 4, 3))
+        x = np.zeros((2, 3, 4, 4))
         y, cache = maxpool_forward(x, 2, 2)
         assert (y == 0.0).all() and (cache[0] == 0).all()
         dx = maxpool_backward(np.ones(y.shape), cache, 2, 2)
         assert np.array_equal(dx, oracle_maxpool_backward(np.ones(y.shape), cache[0], x.shape, 2, 2))
-        assert dx[:, ::2, ::2].sum() == dx.sum() == y.size
+        assert dx[:, :, ::2, ::2].sum() == dx.sum() == y.size
 
     def test_floor_crop_gets_no_gradient(self):
-        x = relu_activations(np.random.default_rng(3), (1, 7, 7, 1))
+        x = relu_activations(np.random.default_rng(3), (1, 1, 7, 7))
         y, cache = maxpool_forward(x, 2, 2)
-        assert y.shape == (1, 3, 3, 1)
+        assert y.shape == (1, 1, 3, 3)
         dx = maxpool_backward(np.ones(y.shape), cache, 2, 2)
-        assert (dx[:, 6, :] == 0.0).all() and (dx[:, :, 6] == 0.0).all()
+        assert (dx[:, :, 6, :] == 0.0).all() and (dx[:, :, :, 6] == 0.0).all()
 
     @pytest.mark.parametrize("n", [1, 16])
     def test_overlapping_windows(self, n):
         rng = np.random.default_rng(40 + n)
-        x = relu_activations(rng, (n, 11, 10, 3), zero_windows=n)
+        x = relu_activations(rng, (n, 3, 11, 10), zero_windows=n)
         y, cache = maxpool_forward(x, 3, 2)
         y_ref, idx_ref = oracle_maxpool_forward(x, 3, 2)
         assert np.array_equal(y, y_ref)
@@ -85,6 +144,28 @@ class TestMaxpoolAgainstOracle:
         dx = maxpool_backward(dy, cache, 3, 2)
         # An input shared by two windows sums in another order.
         np.testing.assert_allclose(dx, oracle_maxpool_backward(dy, idx_ref, x.shape, 3, 2), rtol=0, atol=1e-12)
+
+    def test_window_index_beyond_one_byte(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, 2, 20, 19))
+        y, cache = maxpool_forward(x, 17, 1)
+        y_ref, idx_ref = oracle_maxpool_forward(x, 17, 1)
+        assert y.shape == (2, 2, 4, 3)
+        assert (idx_ref > 255).any() and cache[0].dtype == np.uint16
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(cache[0], idx_ref)
+        dy = rng.standard_normal(y.shape)
+        dx = maxpool_backward(dy, cache, 17, 1)
+        np.testing.assert_allclose(dx, oracle_maxpool_backward(dy, idx_ref, x.shape, 17, 1), rtol=0, atol=1e-12)
+
+
+def test_dropout_mask_follows_channels_last_draw_order():
+    n, c, h, w = 2, 3, 4, 5
+    _, mask = dropout_forward(np.ones((n, c, h, w)), 0.5, np.random.default_rng(9), train=True)
+    draw = np.random.default_rng(9).random((n, h, w, c))
+    assert mask.shape == (n, c, h, w)
+    for i, j, r, s in np.ndindex(n, c, h, w):
+        assert mask[i, j, r, s] == (2.0 if draw[i, r, s, j] >= 0.5 else 0.0)
 
 
 def small_cnn(seed=0):
@@ -108,11 +189,12 @@ def full_backprop(net, xs, ys, rows):
         elif spec.kind == "maxpool":
             dact = maxpool_backward(dact, cache, spec.window, spec.stride)
         elif spec.kind == "flatten":
-            dact = dact.reshape(cache)
+            n, c, h, w = cache
+            dact = dact.reshape(n, h, w, c).transpose(0, 3, 1, 2)
         elif spec.kind == "dense":
             grads[i] = {"w": cache.T @ dact, "b": dact.sum(axis=0)}
             dact = dact @ params["w"].T
-    return dact, grads
+    return nhwc(dact), grads
 
 
 class TestPartialBackward:
