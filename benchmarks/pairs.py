@@ -13,13 +13,15 @@ per side the median and quartiles of each end-to-end metric, plus the
 number of pairs each side won per metric. Each invocation appends one batch under
 its workload's key, so a file keeps every batch run for it.
 
-Each metric also gets two verdicts, which the script prints at the end:
+Each metric also gets three verdicts, which the script prints at the end:
 `claimable` when the change won at least 9 in 10 of at least 10 pairs and
 its median beats the parent's by more than the parent's quartile
-distance, and `beyond_bound` when the change's median is worse than the
+distance; `beyond_bound` when the change's median is worse than the
 parent's by more than the metric's bound in BENCHMARK.json, taken as a
-share of the parent's median. The script reads BENCHMARK.json and never
-writes it.
+share of the parent's median; and `unresolved` when the parent's own
+quartile distance is wider than that bound, so the runs cannot tell a
+change within it from none, unless every change run beats every parent
+run. The script reads BENCHMARK.json and never writes it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
-    out = {"parent": {}, "change": {}, "change_wins": {}, "claimable": {}, "beyond_bound": {}}
+    out = {"parent": {}, "change": {}, "change_wins": {}, "claimable": {}, "beyond_bound": {}, "unresolved": {}}
     for name, metric in metrics.items():
         sides = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in ("parent", "change")}
         for s, values in sides.items():
@@ -76,19 +78,23 @@ def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
         parent = out["parent"][name]
         gain = sign * (out["change"][name]["median"] - parent["median"])
+        spread = parent["q3"] - parent["q1"]
+        bound = metric["bound"] * abs(parent["median"])
+        separated = min(sign * c for c in sides["change"]) > max(sign * p for p in sides["parent"])
         out["change_wins"][name] = wins
         out["claimable"][name] = (
             len(pairs) >= MIN_CLAIM_PAIRS
             and wins >= CLAIM_WIN_SHARE * len(pairs)
-            and gain > parent["q3"] - parent["q1"]
+            and gain > spread
         )
-        out["beyond_bound"][name] = -gain > metric["bound"] * abs(parent["median"])
+        out["beyond_bound"][name] = -gain > bound
+        out["unresolved"][name] = spread > bound and not separated
     out["pairs"] = len(pairs)
     return out
 
 
 def verdicts(workload: str, summary: dict) -> list[str]:
-    """One line per metric: medians, wins and both verdicts."""
+    """One line per metric: medians, wins and the three verdicts."""
     lines = []
     for name, wins in summary["change_wins"].items():
         p, c = summary["parent"][name], summary["change"][name]
@@ -96,7 +102,8 @@ def verdicts(workload: str, summary: dict) -> list[str]:
             f"{workload} {name}: median {p['median']:.4g} -> {c['median']:.4g}"
             f" (parent quartiles {p['q1']:.4g}-{p['q3']:.4g}), change won {wins} of {summary['pairs']};"
             f" claimable {'yes' if summary['claimable'][name] else 'no'},"
-            f" beyond bound {'YES' if summary['beyond_bound'][name] else 'no'}"
+            f" beyond bound {'YES' if summary['beyond_bound'][name] else 'no'},"
+            f" unresolved {'YES' if summary['unresolved'][name] else 'no'}"
         )
     return lines
 

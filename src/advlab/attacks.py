@@ -64,10 +64,11 @@ class AttackConfig:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ValueError("alpha must be > 0 when given")
-        if self.decay_weight < 0.0 or self.initial_decay < 0.0 or self.overshoot < 0.0:
-            raise ValueError("decay_weight, initial_decay and overshoot must be >= 0")
+        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and > 0 when given, got {self.alpha}")
+        factors = (self.decay_weight, self.initial_decay, self.overshoot)
+        if not all(np.isfinite(v) and v >= 0.0 for v in factors):
+            raise ValueError(f"decay_weight, initial_decay and overshoot must be finite and >= 0, got {factors}")
 
     @property
     def step(self) -> float:

@@ -48,6 +48,8 @@ class DefenceConfig:
             raise ValueError("window must be >= 1")
         if self.temperature <= 0:
             raise NonPositiveTemperatureError("temperature must be > 0")
+        if not np.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.regenerate not in ("per_epoch", "once"):
             raise ValueError("regenerate must be 'per_epoch' or 'once'")
 
@@ -84,7 +86,6 @@ def adversarial_train(
     for epoch in range(cfg.train.epochs):
         if k and (epoch == 0 or cfg.regenerate == "per_epoch"):
             source = net if epoch == 0 else fresh
-            source.eval_mode()
             mixed[chosen] = run_attacks(cfg.attack_name, source, xs[chosen], ys[chosen], cfg.attack).adversarial
         history["loss"].append(sgd_epoch(fresh, mixed, ys, cfg.train, shuffle_rng))
     return fresh, history

@@ -2,8 +2,10 @@
 
 The last layer must be a sigmoid or softmax head. Losses fuse the head
 with binary/categorical cross-entropy so the backward pass starts from the
-analytic logit gradient. `input_gradient` always runs in eval mode
-(dropout off), which is the regime attacks operate in.
+analytic logit gradient. Dropout is on only in
+`param_gradients(..., train=True)`, the SGD step. Every other method runs
+with dropout off, the regime attacks operate in, and every inference
+method runs through `forward` or `logits`.
 """
 
 from __future__ import annotations
@@ -104,7 +106,6 @@ class Network:
     params: list[dict]
     shapes: list[tuple]
     rng: np.random.Generator
-    mode: str = "eval"
 
     @property
     def head(self) -> LayerSpec:
@@ -113,14 +114,6 @@ class Network:
     @property
     def parameter_count(self) -> int:
         return sum(int(a.size) for layer in self.params for a in layer.values())
-
-    def train_mode(self) -> "Network":
-        self.mode = "train"
-        return self
-
-    def eval_mode(self) -> "Network":
-        self.mode = "eval"
-        return self
 
     def set_temperature(self, t: float) -> None:
         self.specs[-1] = self.specs[-1].with_temperature(t)
@@ -157,10 +150,10 @@ class Network:
             out = softmax_with_temperature(z, self.specs[-1].temperature)
         return out, z, caches
 
-    def _infer(self, xb: np.ndarray, train: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _infer(self, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Head output and logits of an inference forward, FORWARD_BLOCK rows at a time."""
         starts = range(0, max(len(xb), 1), FORWARD_BLOCK)
-        blocks = [self._run(xb[i : i + FORWARD_BLOCK], train, keep=False) for i in starts]
+        blocks = [self._run(xb[i : i + FORWARD_BLOCK], train=False, keep=False) for i in starts]
         return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
 
     def _layer_forward(self, spec, params, act, train, keep):
@@ -183,7 +176,7 @@ class Network:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Head probabilities: scalar in (0,1) for sigmoid, vector for softmax."""
         xb, single = self._as_batch(x)
-        out, _ = self._infer(xb, train=self.mode == "train")
+        out, _ = self._infer(xb)
         if self.head.kind == "sigmoid":
             out = out[:, 0]
         return out[0] if single else out
@@ -191,7 +184,7 @@ class Network:
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Pre-head activations (temperature not applied)."""
         xb, single = self._as_batch(x)
-        _, z = self._infer(xb, train=False)
+        _, z = self._infer(xb)
         return z[0] if single else z
 
     def predict(self, x: np.ndarray):
@@ -236,12 +229,12 @@ class Network:
             raise InvalidLabelError("soft labels must be probability vectors")
         return y
 
-    def _loss_from_out(self, out: np.ndarray, targets: np.ndarray) -> float:
+    def _loss_from_probs(self, probs: np.ndarray, targets: np.ndarray) -> float:
+        """Mean cross-entropy of head probabilities as `forward` returns them."""
+        p = np.clip(probs, _EPS, 1.0 - _EPS)
         if self.head.kind == "sigmoid":
-            p = np.clip(out[:, 0], _EPS, 1.0 - _EPS)
             per = -(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
         else:
-            p = np.clip(out, _EPS, 1.0 - _EPS)
             per = -(targets * np.log(p)).sum(axis=1)
         return float(per.mean())
 
@@ -253,9 +246,8 @@ class Network:
         """loss(x, y) and the hard labels of a batch from one forward pass."""
         xb, _ = self._as_batch(x)
         targets = self._targets(y, xb.shape[0])
-        out, _ = self._infer(xb, train=self.mode == "train")
-        probs = out[:, 0] if self.head.kind == "sigmoid" else out
-        return self._loss_from_out(out, targets), self._labels(probs)
+        probs = self.forward(xb)
+        return self._loss_from_probs(probs, targets), self._labels(probs)
 
     def _backprop_layers(self, caches, dz, need_params: bool):
         """Push a logit gradient back through the stack.
@@ -301,17 +293,18 @@ class Network:
         n = xb.shape[0]
         targets = self._targets(yb, n)
         out, z, caches = self._run(xb, train=train, keep=True)
-        loss = self._loss_from_out(out, targets)
         rows = n if need_params else 1
         if self.head.kind == "sigmoid":
+            loss = self._loss_from_probs(out[:, 0], targets)
             dz = (out - targets[:, None]) / rows
         else:
+            loss = self._loss_from_probs(out, targets)
             dz = (out - targets) / (self.head.temperature * rows)
         return loss, self._backprop_layers(caches, dz, need_params)
 
     def logit_backprop(self, x: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Logits and the gradient of dz . logits w.r.t. the input, from
-        one forward pass (eval mode).
+        one forward pass (dropout off).
 
         For a binary margin pass dz = [1] (sigmoid head) or [-1, 1]
         (2-logit softmax head).
@@ -323,47 +316,40 @@ class Network:
         return (z[0], dx[0]) if single else (z, dx)
 
     def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
-        """Exact gradient of the loss w.r.t. every input pixel (eval mode)."""
+        """Exact gradient of the loss w.r.t. every input pixel (dropout off)."""
         xb, single = self._as_batch(x)
         _, dx = self._backward(xb, y, train=False, need_params=False)
         return dx[0] if single else dx
 
-    def param_gradients(self, xs: np.ndarray, ys) -> tuple[float, list[dict]]:
-        """Loss and parameter gradients averaged over the batch."""
+    def param_gradients(self, xs: np.ndarray, ys, train: bool = False) -> tuple[float, list[dict]]:
+        """Loss and parameter gradients averaged over the batch; with
+        train, dropout draws its masks from the network's rng."""
         xs, _ = self._as_batch(xs)
         if xs.shape[0] == 0:
             raise EmptyBatchError("gradient of an empty batch")
-        return self._backward(xs, ys, train=self.mode == "train", need_params=True)
+        return self._backward(xs, ys, train=train, need_params=True)
 
 
 def build(specs: list[LayerSpec], input_shape: tuple, seed: int = 0) -> Network:
     """Instantiate a network: validate shapes, init parameters uniform
-    in +-1/sqrt(fan_in), deterministic per seed."""
+    in +-1/sqrt(fan_in), deterministic per seed.
+
+    Conv weights are (kh, kh, cin, f) and dense weights (fan_in, width),
+    so fan_in is the product of every weight axis but the last. Each
+    layer draws w, then b."""
     shapes = propagate_shapes(specs, tuple(input_shape))
     rng = np.random.default_rng(seed)
     params: list[dict] = []
     for spec, in_shape in zip(specs, shapes[:-1]):
         if spec.kind == "conv":
-            kh = spec.kernel_size
-            cin = in_shape[2]
-            bound = 1.0 / np.sqrt(kh * kh * cin)
-            params.append(
-                {
-                    "w": rng.uniform(-bound, bound, size=(kh, kh, cin, spec.out_channels)),
-                    "b": rng.uniform(-bound, bound, size=(spec.out_channels,)),
-                }
-            )
+            w_shape = (spec.kernel_size, spec.kernel_size, in_shape[2], spec.out_channels)
         elif spec.kind == "dense":
-            fan_in = in_shape[0]
-            bound = 1.0 / np.sqrt(fan_in)
-            params.append(
-                {
-                    "w": rng.uniform(-bound, bound, size=(fan_in, spec.width)),
-                    "b": rng.uniform(-bound, bound, size=(spec.width,)),
-                }
-            )
+            w_shape = (in_shape[0], spec.width)
         else:
             params.append({})
+            continue
+        bound = 1.0 / np.sqrt(np.prod(w_shape[:-1]))
+        params.append({"w": rng.uniform(-bound, bound, size=w_shape), "b": rng.uniform(-bound, bound, size=w_shape[-1:])})
     return Network(specs=list(specs), input_shape=tuple(input_shape), params=params, shapes=shapes, rng=rng)
 
 

@@ -19,10 +19,14 @@ class TrainConfig:
     stop_accuracy: float | None = None  # early-stop once train accuracy reaches this
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.stop_accuracy is not None and not np.isfinite(self.stop_accuracy):
+            raise ValueError(f"stop_accuracy must be finite when given, got {self.stop_accuracy}")
 
 
 def train(net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
@@ -51,25 +55,21 @@ def train(net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig
 
 def sgd_epoch(net: Network, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> float:
     """One pass of mini-batch SGD over a shuffle drawn from rng, with
-    dropout on; returns the mean batch loss and leaves the net in eval
-    mode."""
+    dropout on in the parameter gradients; returns the mean batch loss."""
     order = rng.permutation(xs.shape[0])
-    net.train_mode()
     losses = []
     for start in range(0, xs.shape[0], cfg.batch_size):
         take = order[start : start + cfg.batch_size]
-        loss, grads = net.param_gradients(xs[take], ys[take])
+        loss, grads = net.param_gradients(xs[take], ys[take], train=True)
         losses.append(loss)
         for layer_params, layer_grads in zip(net.params, grads):
             for name, g in layer_grads.items():
                 layer_params[name] -= cfg.learning_rate * g
-    net.eval_mode()
     return float(np.mean(losses))
 
 
 def evaluate(net: Network, xs: np.ndarray, ys) -> tuple[float, float]:
     """(mean loss, accuracy) over a labelled set, dropout off."""
-    net.eval_mode()
     ys = np.asarray(ys)
     if len(xs) == 0:
         raise EmptyDatasetError("evaluation set is empty")

@@ -20,11 +20,13 @@ from advlab.bench import (
     prepare_trial_data,
     synth_dataset,
 )
+from advlab.attacks import AttackConfig
 from advlab.bench.config import DatasetSpec, SweepSpec
 from advlab.bench.runner import mean_rows
 from advlab.bench.synth import _clear_of, _ellipse_mask
 from advlab.defences import DefenceConfig
 from advlab.errors import BadFormatError, BadLabelError, IoError, MissingFileError
+from advlab.gradnet import TrainConfig
 from advlab.imagekit import dilate, roi_mask, square_kernel
 
 
@@ -295,6 +297,45 @@ class TestConfig:
     def test_shipped_configs_parse(self, path):
         cfg = parse_config(path)
         assert 0 < cfg.dataset.train_size < cfg.dataset.n
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (AttackConfig, "alpha", math.nan),
+            (AttackConfig, "alpha", math.inf),
+            (AttackConfig, "decay_weight", math.nan),
+            (AttackConfig, "decay_weight", math.inf),
+            (AttackConfig, "initial_decay", math.nan),
+            (AttackConfig, "initial_decay", math.inf),
+            (AttackConfig, "overshoot", math.nan),
+            (TrainConfig, "learning_rate", math.nan),
+            (TrainConfig, "epochs", 0),
+            (TrainConfig, "epochs", -3),
+            (DefenceConfig, "temperature", math.nan),
+            (DefenceConfig, "temperature", math.inf),
+        ],
+    )
+    def test_hyperparameters_that_corrupt_every_output_rejected(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("iterations = 4\n", "iterations = 4\nalpha = nan\n", r"\[attack\.kryptonite\]: alpha"),
+            ("decay_weight = 0.05", "decay_weight = inf", r"\[attack\.kryptonite\]: decay_weight"),
+            ("epochs = 2\nbatch_size", "epochs = 0\nbatch_size", r"\[train\]: epochs must be >= 1"),
+            ("learning_rate = 0.2", "learning_rate = nan", r"\[train\]: learning_rate"),
+            ("epochs = 2\n\n[sweep]", "epochs = 0\n\n[sweep]", r"\[defence\.adv_train\] train overrides: epochs"),
+            ("adversarial_fraction = 0.5", "temperature = nan", r"\[defence\.adv_train\]: temperature"),
+        ],
+    )
+    def test_non_finite_or_empty_budget_in_a_config_file_rejected(self, tmp_path, old, new, match):
+        assert CONFIG_TEXT.count(old) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(BadFormatError, match=match):
+            parse_config(p)
 
     def test_batch_size_below_one_rejected(self, tmp_path):
         p = tmp_path / "bad.ini"

@@ -121,15 +121,13 @@ def test_batch_gradients_match_finite_differences():
 
 def test_dropout_train_mode_backward_is_mask():
     net = build([flatten(), dropout(0.4), dense(1), sigmoid()], (4, 4, 1), seed=5)
-    net.train_mode()
     rng = np.random.default_rng(6)
     x = rng.random((1, 4, 4, 1)) + 0.5  # strictly positive so mask = y/x
     state = net.rng.bit_generator.state
-    loss, _, = net.param_gradients(x, np.array([1]))
+    loss, _, = net.param_gradients(x, np.array([1]), train=True)
     net.rng.bit_generator.state = state
     out, _, caches = net._run(x, train=True, keep=True)
     mask = caches[1]
     assert mask is not None
     scaled = {0.0, 1.0 / 0.6}
     assert set(np.round(np.unique(mask), 12)) <= {round(v, 12) for v in scaled}
-    net.eval_mode()

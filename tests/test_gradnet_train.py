@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from advlab.errors import EmptyDatasetError
-from advlab.gradnet import Network, TrainConfig, build, dense, evaluate, flatten, relu, sigmoid, softmax, train
+from advlab.errors import EmptyDatasetError, InvalidLabelError
+from advlab.gradnet import (
+    Network,
+    TrainConfig,
+    build,
+    dense,
+    evaluate,
+    flatten,
+    relu,
+    sgd_epoch,
+    sigmoid,
+    softmax,
+    train,
+)
 from advlab.gradnet.network import FORWARD_BLOCK
 
 
@@ -80,14 +92,39 @@ class TestTrain:
         from advlab.gradnet import dropout
 
         net = build([flatten(), dropout(0.9), dense(1), sigmoid()], (1, 2, 1), seed=0)
-        net.eval_mode()
         x = np.array([[[0.3], [0.9]]])
         a = net.forward(x)
         b = net.forward(x)
         assert a == b  # no stochasticity in eval mode
 
+    def test_inference_deterministic_after_a_failed_epoch(self):
+        from advlab.gradnet import dropout
+
+        net = build([flatten(), dense(8), relu(), dropout(0.5), dense(1), sigmoid()], (1, 2, 1), seed=0)
+        xs, _ = two_pixel_set(n=16)
+        with pytest.raises(InvalidLabelError):
+            sgd_epoch(net, xs, np.full(16, 2), TrainConfig(batch_size=8), np.random.default_rng(0))
+        assert np.array_equal(net.forward(xs), net.forward(xs))
+        ys = np.ones(16, dtype=int)
+        assert net.loss(xs, ys) == net.loss(xs, ys)
+
 
 class TestEvaluate:
+    @pytest.mark.parametrize("infer", [evaluate, Network.loss, Network.loss_and_predict], ids=lambda f: f.__name__)
+    def test_one_forward_call_per_inference(self, monkeypatch, infer):
+        xs, ys = two_pixel_set()
+        net = fresh_net()
+        calls = []
+        real = Network.forward
+
+        def counting(self, x):
+            calls.append(len(x))
+            return real(self, x)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        infer(net, xs, ys)
+        assert calls == [len(xs)]
+
     def test_counts_correct(self):
         xs, ys = two_pixel_set()
         net = fresh_net()
@@ -107,8 +144,8 @@ class TestEvaluate:
         blocks = [slice(i, i + FORWARD_BLOCK) for i in range(0, n, FORWARD_BLOCK)]
         real = Network._run
         for net in (fresh_net(), build([flatten(), dense(2), softmax()], (1, 2, 1), seed=0)):
-            want_out = np.concatenate([real(net, xs[b], False, False)[0] for b in blocks])
-            want_loss = net._loss_from_out(want_out, net._targets(ys, n))
+            want_probs = np.concatenate([net.forward(xs[b]) for b in blocks])
+            want_loss = net._loss_from_probs(want_probs, net._targets(ys, n))
             want_preds = np.concatenate([net.predict(xs[b]) for b in blocks])
             runs = []
 

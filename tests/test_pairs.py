@@ -70,9 +70,29 @@ def test_beyond_bound_is_relative_to_the_parent_median(factor, items_beyond, wal
     assert summary["beyond_bound"] == {"items_per_s": items_beyond, "wall_s": wall_beyond}
 
 
-def test_verdict_lines_name_both_verdicts():
+# Parent quartiles 70-130 around a median of 100: a spread of 60%, past the 25% bound.
+WIDE_PARENT = [60, 70, 70, 70, 100, 100, 130, 130, 130, 140]
+
+
+@pytest.mark.parametrize(
+    "parent, change, unresolved",
+    [
+        (WIDE_PARENT, [p * 1.05 for p in WIDE_PARENT], True),
+        (WIDE_PARENT, [p * 0.8 for p in WIDE_PARENT], True),
+        (WIDE_PARENT, [150.0] * 10, False),  # every change run beats every parent run
+        ([98, 99, 100, 100, 101, 102] * 2, [80.0] * 12, False),  # narrow spread: the bound decides
+    ],
+)
+def test_spread_wider_than_the_bound_is_unresolved(parent, change, unresolved):
+    summary = pairs.summarise(make_pairs(parent, change), METRICS)
+    assert summary["unresolved"]["items_per_s"] is unresolved
+    # wall_s = 1/items: beating every parent rate means a shorter wall than every parent run too.
+    assert summary["unresolved"]["wall_s"] is unresolved
+
+
+def test_verdict_lines_name_every_verdict():
     summary = pairs.summarise(make_pairs([100] * 10, [70] * 10), METRICS)
     lines = pairs.verdicts("train", summary)
     assert len(lines) == 2
     assert lines[0].startswith("train items_per_s: median 100 -> 70")
-    assert "claimable no, beyond bound YES" in lines[0]
+    assert "claimable no, beyond bound YES, unresolved no" in lines[0]
