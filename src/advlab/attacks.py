@@ -57,7 +57,6 @@ class AttackConfig:
     initial_decay: float = 0.5
     overshoot: float = 0.06
     seed: int = 0
-    roi_reextract: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -148,9 +147,8 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
     mu = None if decay is None else np.full(n, float(decay))
     mus = progresses = None
     if rois is not None:
-        masks = rois
         step_mask = rois[..., None].astype(float) if confine else None
-        rho_prev = adv * masks[..., None]
+        rho_prev = adv * rois[..., None]
         mus = np.empty((n, cfg.iterations))
         progresses = np.empty((n, cfg.iterations))
     for t in range(cfg.iterations):
@@ -167,9 +165,7 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
             update = update * step_mask
         adv = np.clip(adv + update, lo, hi)
         if rois is not None:
-            if cfg.roi_reextract:
-                masks = np.stack([_roi_or(a, m) for a, m in zip(adv, masks)])
-            rho_next = adv * masks[..., None]
+            rho_next = adv * rois[..., None]
             progress = roi_progress(rho_prev, rho_next)
             mu = cfg.decay_weight / np.maximum(progress, P_FLOOR)
             mus[:, t], progresses[:, t] = mu, progress
@@ -303,8 +299,8 @@ def run_attack(
       decay_weight / max(progress, 1e-8), where progress is the Euclidean
       change of the RoI-masked image; res.mu and res.progress record both
       per step. The mask is `roi` or, when absent, the one extracted from
-      the clean image (full-frame fallback if extraction fails), unless
-      cfg.roi_reextract recomputes it per iterate.
+      the clean image (full-frame fallback if extraction fails); it stays
+      fixed over the iterates.
     - kryptonite_masked: the same with the sign step zeroed outside the
       RoI, so pixels off the mask never change.
 
@@ -365,15 +361,10 @@ def run_attacks(kind: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.
 
 
 def extract_roi_or_full(x: np.ndarray) -> np.ndarray:
-    """Clean-image RoI mask; degenerate or contourless inputs fall back to
-    the full frame so the attack still runs."""
-    return _roi_or(x, np.ones(x.shape[:2], dtype=bool))
-
-
-def _roi_or(img: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """RoI mask of img (roi_mask's default 5x5 dilation), or `fallback`
-    when img is single-intensity or binarizes to no contour."""
+    """Clean-image RoI mask (roi_mask's default 5x5 dilation); a
+    single-intensity image, or one that binarizes to no contour, falls
+    back to the full frame so the attack still runs."""
     try:
-        return roi_mask(img)
+        return roi_mask(x)
     except (DegenerateImageError, NoContourError):
-        return fallback
+        return np.ones(x.shape[:2], dtype=bool)

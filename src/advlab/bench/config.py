@@ -103,12 +103,17 @@ _FIELD_TYPES = {
     "stop_accuracy": float,
     "epsilon": float, "iterations": int, "alpha": float, "decay_weight": float,
     "initial_decay": float, "overshoot": float,
-    "roi_reextract": bool,
-    "kind": str, "adversarial_fraction": float, "attack_name": str,
+    "kind": str, "adversarial_fraction": float,
     "regenerate": str, "deflections": int, "window": int, "denoise": bool,
     "temperature": float,
     "axis": str, "values": _values_tuple, "attacks": _names_tuple, "samples": int,
 }
+
+
+# A defence section names its attack with `attack` and overrides [train]
+# through epochs/batch_size/learning_rate, so the fields those set are
+# not options of their own.
+_DEFENCE_OPTIONS = {f.name for f in fields(DefenceConfig)} - {"attack", "attack_name", "train"}
 
 
 def _coerce(raw: str, target_type):
@@ -177,7 +182,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             train_over = {
                 k: opts.pop(k) for k in ("epochs", "batch_size", "learning_rate") if k in opts
             }
-            dcfg = _fill_dataclass(DefenceConfig, {"kind": kind, **opts}, f"[{section}]")
+            dcfg = _fill_dataclass(DefenceConfig, {"kind": kind, **opts}, f"[{section}]", allowed=_DEFENCE_OPTIONS)
             dcfg.train = _fill_dataclass(
                 TrainConfig, train_over, f"[{section}] train overrides", base=cfg.train
             )

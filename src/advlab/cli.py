@@ -197,10 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except AdvlabError as exc:
-        print(f"advlab: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (AdvlabError, OSError, ValueError) as exc:
         print(f"advlab: error: {exc}", file=sys.stderr)
         return 2
 

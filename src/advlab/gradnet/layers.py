@@ -7,14 +7,16 @@ strided view below runs along image rows of length W; `flatten`
 emits the (H, W, C) row order the dense weights expect. Activations are
 (N, D) after flattening. The batch is axis 0 of every kernel argument.
 
-Convolution uses an im2col matmul. Its patch matrix `cols` is
-(kh*kw*C, N*oh*ow), filled by one row-slice copy per kernel offset, with
+Every convolution is same-padded with stride 1, so its output keeps the
+input's H and W. It uses an im2col matmul. Its patch matrix `cols` is
+(kh*kw*C, N*H*W), filled by one row-slice copy per kernel offset, with
 rows in (a, b, c) order so that `w.reshape(K, F)` (w is (kh, kw, C, F))
-multiplies it directly. The cache keeps `cols`, so the backward pass is
-a pair of matmuls plus a col2im of kh*kw row-contiguous adds.
+multiplies it directly. `cols` is the whole cache, so the backward pass
+is a pair of matmuls plus a col2im of kh*kw row-contiguous adds.
 `conv_backward` computes only the gradients its caller asks for:
 training needs no input gradient from the first layer, and an input
-gradient needs no dW/db.
+gradient needs no dW/db. Both conv kernels and both pooling kernels walk
+the kernel or window offsets through one helper, `_window_views`.
 
 Max-pooling works on the window*window strided views of its input, one
 per window offset in raster order. The forward takes their running max
@@ -43,7 +45,6 @@ class LayerSpec:
     kind: str
     out_channels: int | None = None
     kernel_size: int | None = None
-    pad: str = "same"
     stride: int = 1
     window: int | None = None
     rate: float | None = None
@@ -58,8 +59,8 @@ class LayerSpec:
                 raise ValueError("conv kernel size must be odd")
             if self.out_channels is None or self.out_channels < 1:
                 raise ValueError("conv needs out_channels >= 1")
-            if self.pad not in ("same", "valid"):
-                raise ValueError(f"unknown pad mode {self.pad!r}")
+            if self.stride != 1:
+                raise ValueError("conv is same-padded with stride 1")
         if self.kind == "dropout" and not (0.0 <= (self.rate or 0.0) < 1.0):
             raise ValueError("dropout rate must lie in [0, 1)")
         if self.kind == "softmax" and self.temperature <= 0.0:
@@ -71,8 +72,8 @@ class LayerSpec:
         return replace(self, temperature=t)
 
 
-def conv(out_channels: int, kernel_size: int = 3, pad: str = "same", stride: int = 1) -> LayerSpec:
-    return LayerSpec("conv", out_channels=out_channels, kernel_size=kernel_size, pad=pad, stride=stride)
+def conv(out_channels: int, kernel_size: int = 3) -> LayerSpec:
+    return LayerSpec("conv", out_channels=out_channels, kernel_size=kernel_size)
 
 
 def relu() -> LayerSpec:
@@ -106,46 +107,38 @@ def softmax(temperature: float = 1.0) -> LayerSpec:
 # --- kernels ---------------------------------------------------------------
 
 
-def conv_forward(x, w, b, pad, stride):
+def conv_forward(x, w, b):
+    """(y, cols) of a same-padded stride-1 conv layer."""
     n, cin, h, wd = x.shape
     kh, kw, _, f = w.shape
-    if pad == "same":
-        p = kh // 2
-        xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + wd] = x
-    else:
-        p = 0
-        xp = x
-    oh, ow = (xp.shape[2] - kh) // stride + 1, (xp.shape[3] - kw) // stride + 1
-    cols = np.empty((kh, kw, cin, n, oh, ow), dtype=x.dtype)
-    for a in range(kh):
-        for c in range(kw):
-            cols[a, c] = xp[:, :, a : a + oh * stride : stride, c : c + ow * stride : stride].transpose(1, 0, 2, 3)
-    cols = cols.reshape(kh * kw * cin, n * oh * ow)
+    p = kh // 2
+    xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    xp[:, :, p : p + h, p : p + wd] = x
+    cols = np.empty((kh * kw, cin, n, h, wd), dtype=x.dtype)
+    for k, view in enumerate(_window_views(xp, kh, 1, h, wd)):
+        cols[k] = view.transpose(1, 0, 2, 3)
+    cols = cols.reshape(kh * kw * cin, n * h * wd)
     y = w.reshape(-1, f).T @ cols
     y += b[:, None]
-    cache = (cols, x.shape, xp.shape, p)
-    return y.reshape(f, n, oh, ow).transpose(1, 0, 2, 3), cache
+    return y.reshape(f, n, h, wd).transpose(1, 0, 2, 3), cols
 
 
-def conv_backward(dy, w, cache, stride, need_dx=True, need_params=True):
+def conv_backward(dy, w, cols, need_dx=True, need_params=True):
     """(dx, dw, db) of a conv layer; a gradient not asked for is None."""
-    cols, x_shape, xp_shape, p = cache
     kh, kw, cin, f = w.shape
-    n, _, oh, ow = dy.shape
-    dy = dy.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
+    n, _, h, wd = dy.shape
+    dy = dy.transpose(1, 0, 2, 3).reshape(f, n * h * wd)
     dx = dw = db = None
     if need_params:
         db = dy.sum(axis=1)
         dw = (cols @ dy.T).reshape(w.shape)
     if need_dx:
-        # (kh, kw, N, C, oh, ow) view of the (K, N*oh*ow) product
-        dcols = (w.reshape(-1, f) @ dy).reshape(kh, kw, cin, n, oh, ow).transpose(0, 1, 3, 2, 4, 5)
-        dxp = np.zeros(xp_shape)
-        for a in range(kh):
-            for c in range(kw):
-                dxp[:, :, a : a + oh * stride : stride, c : c + ow * stride : stride] += dcols[a, c]
-        _, _, h, wd = x_shape
+        # (kh*kw, N, C, H, W) view of the (K, N*H*W) product
+        dcols = (w.reshape(-1, f) @ dy).reshape(kh * kw, cin, n, h, wd).transpose(0, 2, 1, 3, 4)
+        p = kh // 2
+        dxp = np.zeros((n, cin, h + 2 * p, wd + 2 * p))
+        for view, dview in zip(_window_views(dxp, kh, 1, h, wd), dcols):
+            view += dview
         dx = dxp[:, :, p : p + h, p : p + wd]
     return dx, dw, db
 

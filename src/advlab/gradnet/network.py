@@ -57,16 +57,7 @@ def propagate_shapes(specs: list[LayerSpec], input_shape: tuple) -> list[tuple]:
         if k == "conv":
             if len(shape) != 3:
                 raise ShapeMismatchError(f"layer {i}: conv needs (H, W, C) input, got {shape}", i)
-            h, w, _ = shape
-            if spec.pad == "same":
-                if spec.stride != 1:
-                    raise ShapeMismatchError(f"layer {i}: same-padded conv requires stride 1", i)
-                shape = (h, w, spec.out_channels)
-            else:
-                kh = spec.kernel_size
-                if h < kh or w < kh:
-                    raise ShapeMismatchError(f"layer {i}: kernel {kh} exceeds input {shape}", i)
-                shape = ((h - kh) // spec.stride + 1, (w - kh) // spec.stride + 1, spec.out_channels)
+            shape = shape[:2] + (spec.out_channels,)
         elif k == "maxpool":
             if len(shape) != 3:
                 raise ShapeMismatchError(f"layer {i}: maxpool needs (H, W, C) input", i)
@@ -159,7 +150,7 @@ class Network:
     def _layer_forward(self, spec, params, act, train, keep):
         k = spec.kind
         if k == "conv":
-            return conv_forward(act, params["w"], params["b"], spec.pad, spec.stride)
+            return conv_forward(act, params["w"], params["b"])
         if k == "relu":
             return np.maximum(act, 0.0), (act > 0 if keep else None)
         if k == "maxpool":
@@ -264,9 +255,7 @@ class Network:
             need_dx = i > stop or not need_params
             k = spec.kind
             if k == "conv":
-                dact, dw, db = conv_backward(
-                    dact, params["w"], cache, spec.stride, need_dx=need_dx, need_params=need_params
-                )
+                dact, dw, db = conv_backward(dact, params["w"], cache, need_dx=need_dx, need_params=need_params)
                 if need_params:
                     grads[i] = {"w": dw, "b": db}
             elif k == "relu":
@@ -364,13 +353,13 @@ def reference_cnn_specs(input_hw: int = 126, scale: float = 1.0) -> tuple[list[L
         return max(1, round(width * scale))
 
     specs = [
-        conv(s(50), 3, pad="same"),
+        conv(s(50), 3),
         relu(),
-        conv(s(75), 3, pad="same"),
+        conv(s(75), 3),
         relu(),
         maxpool(2, 2),
         dropout(0.25),
-        conv(s(125), 3, pad="same"),
+        conv(s(125), 3),
         relu(),
         maxpool(2, 2),
         dropout(0.25),

@@ -52,24 +52,30 @@ def save_network(net: Network, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> Network:
+    """Rebuild a saved network; a container that does not describe one
+    buildable network, with exactly its parameters, raises BadFormatError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
         raise BadFormatError(f"{path}: not a network container")
-    off = len(_MAGIC)
-    header_len = int(np.frombuffer(raw[off : off + 4], dtype="<u4")[0])
-    off += 4
-    header = json.loads(raw[off : off + header_len])
+    off = len(_MAGIC) + 4
+    try:
+        header_len = int.from_bytes(raw[off - 4 : off], "little")
+        header = json.loads(raw[off : off + header_len])
+        specs = [LayerSpec(**d) for d in header["specs"]]
+        net = build(specs, tuple(header["input_shape"]), seed=0)
+        entries = [(e["layer"], e["name"], tuple(e["shape"])) for e in header["params"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BadFormatError(f"{path}: malformed header: {exc!r}") from exc
+    expected = [(i, name, layer[name].shape) for i, layer in enumerate(net.params) for name in sorted(layer)]
+    if entries != expected:
+        raise BadFormatError(f"{path}: parameter entries {entries} do not match the layer specs' {expected}")
     off += header_len
-    specs = [LayerSpec(**d) for d in header["specs"]]
-    net = build(specs, tuple(header["input_shape"]), seed=0)
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for i, name, shape in expected:
         count = int(np.prod(shape))
         blob = raw[off : off + 4 * count]
         if len(blob) != 4 * count:
             raise BadFormatError(f"{path}: truncated parameter blob")
-        arr = np.frombuffer(blob, dtype="<f4").reshape(shape).astype(float)
-        net.params[entry["layer"]][entry["name"]] = arr
+        net.params[i][name] = np.frombuffer(blob, dtype="<f4").reshape(shape).astype(float)
         off += 4 * count
     return net

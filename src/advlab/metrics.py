@@ -75,15 +75,12 @@ def roc_auc(scores, labels) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their rank range."""
+    """1-based ranks; tied values share the mean of their rank range. NaNs
+    sort last, each on its own rank, in index order."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    v = values[order]
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])  # NaN != NaN: one run per NaN
+    ends = np.r_[starts[1:], v.size] - 1
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks

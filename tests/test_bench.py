@@ -274,6 +274,15 @@ class TestConfig:
         with pytest.raises(BadFormatError):
             parse_config(tmp_path / "none.ini")
 
+    @pytest.mark.parametrize("line", ["train = banana", "attack_name = pgd"])
+    def test_defence_option_that_would_be_lost_rejected(self, tmp_path, line):
+        # `train` is built from [train] and the epoch overrides, and
+        # `attack` names the attack, so neither field is an option.
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace("attack = fgsm\n", f"attack = fgsm\n{line}\n"))
+        with pytest.raises(BadFormatError, match=r"\[defence\.adv_train\]: unknown options \['" + line.split()[0]):
+            parse_config(p)
+
     @pytest.mark.parametrize(
         "old, new, match",
         [

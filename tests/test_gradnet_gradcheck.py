@@ -75,8 +75,7 @@ def check_param_gradients(net, x, y, rng, n_coords=64):
 
 
 STACKS = {
-    "conv_same": ([conv(4, 3, pad="same"), relu(), flatten(), dense(1), sigmoid()], (6, 6, 1)),
-    "conv_valid_stride2": ([conv(3, 3, pad="valid", stride=2), flatten(), dense(1), sigmoid()], (7, 7, 2)),
+    "conv_same": ([conv(4, 3), relu(), flatten(), dense(1), sigmoid()], (6, 6, 1)),
     "relu": ([flatten(), dense(6), relu(), dense(1), sigmoid()], (3, 3, 1)),
     "maxpool": ([maxpool(2, 2), flatten(), dense(1), sigmoid()], (6, 6, 2)),
     "dropout_eval": ([flatten(), dropout(0.5), dense(1), sigmoid()], (4, 4, 1)),

@@ -14,6 +14,7 @@ from advlab.errors import (
     ShapeMismatchError,
 )
 from advlab.gradnet import (
+    LayerSpec,
     build,
     conv,
     dense,
@@ -64,6 +65,12 @@ class TestBuild:
     def test_head_required(self):
         with pytest.raises(ShapeMismatchError):
             build([flatten(), dense(4)], (2, 2, 1), seed=0)
+
+    def test_strided_conv_rejected_at_construction(self):
+        # Serialized specs arrive from outside; every conv is same-padded
+        # with stride 1, so a strided one must fail before any build.
+        with pytest.raises(ValueError, match="stride 1"):
+            LayerSpec("conv", out_channels=2, kernel_size=3, stride=2)
 
     def test_deterministic_init(self):
         a = build([flatten(), dense(3), relu(), dense(1), sigmoid()], (2, 2, 1), seed=9)

@@ -62,3 +62,42 @@ class TestSerialize:
         path.write_bytes(b"not a network at all")
         with pytest.raises(BadFormatError):
             load_network(path)
+
+
+def rewrite_header(path, edit):
+    """Rewrite a saved container's JSON header through edit(header) -> bytes."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[8:12], "little")
+    header = edit(json.loads(raw[12 : 12 + n]))
+    path.write_bytes(raw[:8] + len(header).to_bytes(4, "little") + header + raw[12 + n :])
+
+
+def edited(change):
+    def edit(header):
+        change(header)
+        return json.dumps(header).encode()
+
+    return edit
+
+
+MALFORMED = {
+    "non_json_header": lambda h: b"{not json",
+    "missing_key": edited(lambda h: h.pop("input_shape")),
+    # Containers written while convs had a padding mode carry "pad".
+    "unknown_spec_field": edited(lambda h: h["specs"][0].update(pad="same")),
+    "unknown_layer_kind": edited(lambda h: h["specs"][1].update(kind="gelu")),
+    "layer_index_out_of_range": edited(lambda h: h["params"][0].update(layer=99)),
+    "parameter_name_mismatch": edited(lambda h: h["params"][0].update(name="v")),
+    # Same element count as the conv's (3, 3, 1, 4) weights, so the blobs
+    # still line up and only the shape is wrong.
+    "parameter_shape_mismatch": edited(lambda h: h["params"][1].update(shape=[36])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_header_rejected(tmp_path, case):
+    path = tmp_path / "net.bin"
+    save_network(small_net(), path)
+    rewrite_header(path, MALFORMED[case])
+    with pytest.raises(BadFormatError, match="net.bin"):
+        load_network(path)

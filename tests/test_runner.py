@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from advlab.attacks import AttackConfig, run_attack
 from advlab.bench import parse_config, run_experiment, sweep, time_attacks
 from advlab.bench.config import SweepSpec
-from advlab.bench.runner import network_specs
-from advlab.gradnet import TrainConfig, build, train
-from advlab.bench import generate_images
 
 TINY = """
 [experiment]
@@ -228,21 +224,3 @@ class TestTimeAttacks:
         assert list(times) == ["fgsm", "kryptonite"]
         assert all(t > 0.0 for t in times.values())
         assert calls == [("fgsm", False), ("kryptonite", True)] * 3
-
-
-class TestRoiReextraction:
-    def test_flag_changes_trace_not_contract(self):
-        images, labels, rois = generate_images(40, 32, seed=3)
-        specs, shape = network_specs("blob_cnn", 32, 0.5)
-        net = build(specs, shape, seed=0)
-        train(net, (images[:32], labels[:32]), TrainConfig(epochs=2, batch_size=8, seed=0))
-        x, y, roi = images[32], int(labels[32]), rois[32]
-        fixed = run_attack("kryptonite", net, x, y, AttackConfig(epsilon=0.08, iterations=4, decay_weight=0.05), roi=roi)
-        re_ex = run_attack(
-            "kryptonite", net, x, y,
-            AttackConfig(epsilon=0.08, iterations=4, decay_weight=0.05, roi_reextract=True),
-            roi=roi,
-        )
-        for res in (fixed, re_ex):
-            assert res.linf <= 0.08 + 1e-6
-            assert res.mu.shape == res.progress.shape == (4,)
