@@ -4,17 +4,19 @@ One file describes one experiment: dataset, network, training, the attack
 roster, optional defences, and an optional sweep axis. Sections
 [attack.<name>] and [defence.<name>] append to the rosters; defence
 sections reference attacks by name and inherit [train] unless they
-override epochs/batch_size/learning_rate.
+override epochs/batch_size/learning_rate; each defence kind takes only
+the options its code reads.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ..attacks import ATTACK_NAMES, AttackConfig
-from ..defences import DefenceConfig
+from ..defences import DEFENCE_KINDS, DefenceConfig
 from ..errors import BadFormatError
 from ..gradnet import TrainConfig
 
@@ -44,10 +46,19 @@ class DatasetSpec:
         return int(round(self.train_fraction * self.n))
 
 
+ARCHITECTURES = ("blob_cnn", "reference")  # the names runner.network_specs builds
+
+
 @dataclass
 class NetworkSpec:
-    arch: str = "blob_cnn"  # or "reference"
-    scale: float = 1.0
+    arch: str = "blob_cnn"  # one of ARCHITECTURES
+    scale: float = 1.0  # width multiplier
+
+    def __post_init__(self):
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(f"unknown arch {self.arch!r}; choose from {ARCHITECTURES}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
 
 SWEEP_AXES = ("epsilon", "decay_weight", "overshoot")  # AttackConfig fields a sweep can vary
@@ -110,10 +121,15 @@ _FIELD_TYPES = {
 }
 
 
-# A defence section names its attack with `attack` and overrides [train]
-# through epochs/batch_size/learning_rate, so the fields those set are
-# not options of their own.
-_DEFENCE_OPTIONS = {f.name for f in fields(DefenceConfig)} - {"attack", "attack_name", "train"}
+# The options besides `kind` that each defence kind's code reads. `attack`
+# names the attack adversarial training runs, and epochs/batch_size/
+# learning_rate override [train] for the kinds that train.
+_TRAIN_OVERRIDES = ("epochs", "batch_size", "learning_rate")
+_DEFENCE_OPTIONS = {
+    "adv_train": {"attack", "adversarial_fraction", "regenerate", "seed", *_TRAIN_OVERRIDES},
+    "pixel_deflect": {"deflections", "window", "denoise", "seed"},
+    "distill": {"temperature", *_TRAIN_OVERRIDES},
+}
 
 
 def _coerce(raw: str, target_type):
@@ -178,11 +194,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             name = section.split(".", 1)[1]
             opts = dict(parser.items(section))
             kind = opts.pop("kind", name)
+            if kind not in DEFENCE_KINDS:
+                raise BadFormatError(f"[{section}]: unknown defence kind {kind!r}; choose from {DEFENCE_KINDS}")
+            unknown = sorted(opts.keys() - _DEFENCE_OPTIONS[kind])
+            if unknown:
+                raise BadFormatError(f"[{section}]: unknown options {unknown} for kind {kind!r}")
             attack_ref = opts.pop("attack", None)
-            train_over = {
-                k: opts.pop(k) for k in ("epochs", "batch_size", "learning_rate") if k in opts
-            }
-            dcfg = _fill_dataclass(DefenceConfig, {"kind": kind, **opts}, f"[{section}]", allowed=_DEFENCE_OPTIONS)
+            train_over = {k: opts.pop(k) for k in _TRAIN_OVERRIDES if k in opts}
+            dcfg = _fill_dataclass(DefenceConfig, {"kind": kind, **opts}, f"[{section}]")
             dcfg.train = _fill_dataclass(
                 TrainConfig, train_over, f"[{section}] train overrides", base=cfg.train
             )

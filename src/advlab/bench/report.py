@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from ..errors import IoError
@@ -15,20 +15,6 @@ DEVIATION_NOTES = (
     "grayscale conversion: unweighted channel mean",
     "perturbation percent: 100 * L2(adv - clean) / L2(clean)",
     "denoising inside pixel deflection: 3x3 median filter",
-)
-
-COLUMNS = (
-    "row",
-    "network",
-    "attack",
-    "defence",
-    "trial",
-    "clean_accuracy",
-    "accuracy_under_attack",
-    "roc_auc",
-    "pert_mean_percent",
-    "pert_worst_percent",
-    "seconds_per_sample",
 )
 
 
@@ -51,6 +37,9 @@ class ReportRow:
             assert self.pert_worst_percent >= self.pert_mean_percent - 1e-9
         if not math.isnan(self.seconds_per_sample):
             assert self.seconds_per_sample >= 0.0
+
+
+COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _cell(value) -> str:

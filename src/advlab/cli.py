@@ -30,8 +30,8 @@ from .gradnet import save_network
 from .imagekit import read_image, roi_mask, square_kernel, write_mask
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required, help="experiment config file")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
     p.add_argument("--out", default="out", help="output directory or file")
 

@@ -91,11 +91,10 @@ def adversarial_train(
     return fresh, history
 
 
-def gradient_saliency(net: Network, x: np.ndarray, y=None) -> np.ndarray:
-    """|input gradient| collapsed over channels and scaled to [0, 1]."""
-    if y is None:
-        y = int(net.predict(x))
-    g = np.abs(net.input_gradient(x, y)).sum(axis=2)
+def gradient_saliency(net: Network, x: np.ndarray) -> np.ndarray:
+    """|input gradient| at the predicted label, collapsed over channels
+    and scaled to [0, 1]; a defence sees no true labels."""
+    g = np.abs(net.input_gradient(x, int(net.predict(x)))).sum(axis=2)
     peak = g.max()
     return g / peak if peak > 0 else g
 
@@ -113,14 +112,12 @@ def median_filter3(img: np.ndarray) -> np.ndarray:
 def pixel_deflect(x: np.ndarray, saliency: np.ndarray, cfg: DefenceConfig) -> np.ndarray:
     """Swap low-saliency pixels with random window neighbours, then denoise.
 
-    Targets are drawn with probability proportional to (1 - saliency);
-    each target copies the value of a pixel chosen uniformly in its
-    (2*window+1)^2 neighbourhood (offsets clamped at the borders). With
-    deflections = 0 and denoise off this is the identity.
+    Targets are drawn with probability proportional to (1 - saliency),
+    an (H, W) map; each target copies the value of a pixel chosen
+    uniformly in its (2*window+1)^2 neighbourhood (offsets clamped at the
+    borders). With deflections = 0 and denoise off this is the identity.
     """
     validate_image(x)
-    if saliency.ndim == 3:
-        saliency = saliency.mean(axis=2)
     if saliency.shape != x.shape[:2]:
         raise ValueError("saliency must match the image grid")
     h, w, _ = x.shape

@@ -31,7 +31,7 @@ pooling forward builds no offset index and returns no cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class LayerSpec:
             raise ValueError("dropout rate must lie in [0, 1)")
         if self.kind == "softmax" and self.temperature <= 0.0:
             raise NonPositiveTemperatureError("temperature must be > 0")
-
-    def with_temperature(self, t: float) -> "LayerSpec":
-        if t <= 0.0:
-            raise NonPositiveTemperatureError("temperature must be > 0")
-        return replace(self, temperature=t)
 
 
 def conv(out_channels: int, kernel_size: int = 3) -> LayerSpec:

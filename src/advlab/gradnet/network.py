@@ -10,7 +10,7 @@ method runs through `forward` or `logits`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +107,7 @@ class Network:
         return sum(int(a.size) for layer in self.params for a in layer.values())
 
     def set_temperature(self, t: float) -> None:
-        self.specs[-1] = self.specs[-1].with_temperature(t)
+        self.specs[-1] = replace(self.specs[-1], temperature=t)
 
     # --- inference -----------------------------------------------------
 
@@ -378,8 +378,6 @@ def reference_cnn_specs(input_hw: int = 126, scale: float = 1.0) -> tuple[list[L
 
 def promote_to_softmax(specs: list[LayerSpec], temperature: float = 1.0) -> list[LayerSpec]:
     """Rewrite a sigmoid head as a 2-logit softmax head (for distillation)."""
-    if specs[-1].kind == "softmax":
-        return specs[:-1] + [softmax(temperature)]
     if specs[-1].kind != "sigmoid" or specs[-2].kind != "dense":
         raise ShapeMismatchError("expected a dense+sigmoid head to promote")
     return specs[:-2] + [dense(2), softmax(temperature)]

@@ -156,7 +156,7 @@ def _follow_border(
     return points
 
 
-def _label_regions(mask: np.ndarray, foreground: bool) -> tuple[np.ndarray, int]:
+def _label_regions(mask: np.ndarray, foreground: bool) -> np.ndarray:
     """Flood-fill labelling: 8-connectivity for foreground, 4 for background."""
     target = mask if foreground else ~mask
     rows, cols = target.shape
@@ -185,7 +185,7 @@ def _label_regions(mask: np.ndarray, foreground: bool) -> tuple[np.ndarray, int]
                     ):
                         labels[nr, nc] = current
                         stack.append((nr, nc))
-    return labels, current
+    return labels
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:
@@ -197,7 +197,7 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
     """
     if mask.ndim != 2 or mask.dtype != np.bool_:
         raise ValueError("mask must be a 2-D boolean array")
-    labels, _ = _label_regions(mask, foreground=False)
+    labels = _label_regions(mask, foreground=False)
     frame = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
     return ~np.isin(labels, frame[frame > 0])
 
@@ -206,5 +206,5 @@ def fill_outer_contour(mask: np.ndarray, contour: Contour) -> np.ndarray:
     """Region enclosed by an outer contour: its component plus its inside."""
     if contour.kind != "outer":
         raise ValueError("only outer contours enclose a region")
-    labels, _ = _label_regions(mask, foreground=True)
+    labels = _label_regions(mask, foreground=True)
     return fill_holes(labels == labels[contour.points[0]])

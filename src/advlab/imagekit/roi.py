@@ -22,7 +22,6 @@ from .ops import (
     otsu_threshold,
     square_kernel,
     to_grayscale,
-    validate_image,
 )
 
 
@@ -42,7 +41,6 @@ def roi_mask(
     Raises DegenerateImageError for single-intensity images and
     NoContourError when binarization leaves no foreground.
     """
-    validate_image(img)
     if kernel is None:
         kernel = square_kernel(5)
     gray = to_grayscale(img)
@@ -52,6 +50,6 @@ def roi_mask(
     fg = dilate(fg, kernel)
     if not fg.any():
         raise NoContourError("binarization produced no foreground pixels")
-    labels, _ = _label_regions(fill_holes(fg), foreground=True)
+    labels = _label_regions(fill_holes(fg), foreground=True)
     # argmax takes the first of equal counts: the earliest in raster order.
     return labels == np.argmax(np.bincount(labels.ravel())[1:]) + 1

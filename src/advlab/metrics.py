@@ -40,47 +40,34 @@ def perturbation_percent(x: np.ndarray, adv: np.ndarray) -> float:
     return 100.0 * lp_norm(x, adv, 2) / base
 
 
-def accuracy(preds, labels, threshold: float = 0.5) -> float:
-    """Fraction of correct hard predictions; float scores are thresholded."""
+def accuracy(preds, labels) -> float:
+    """Fraction of hard predictions equal to their labels."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise DimensionMismatchError("predictions and labels differ in length")
     if preds.size == 0:
         raise EmptySetError("accuracy of an empty set")
-    if preds.dtype.kind == "f":
-        preds = (preds > threshold).astype(int)
     return float((preds == labels).mean())
 
 
 def roc_auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative.
 
-    Exact Mann-Whitney statistic: ties count one half. Average ranks over
-    the pooled sample give the positive rank-sum directly, so the result
-    is exact without curve integration.
+    Exact Mann-Whitney U over n_pos * n_neg: for each positive, the
+    negatives below it count one and the tied ones one half. NaN when any
+    score is NaN, since a NaN has no place in the order.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise DimensionMismatchError("scores and labels differ in length")
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    pos = scores[labels == 1]
+    neg = np.sort(scores[labels == 0])
+    if pos.size == 0 or neg.size == 0:
         raise SingleClassError("need at least one positive and one negative")
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[labels == 1].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their rank range. NaNs
-    sort last, each on its own rank, in index order."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])  # NaN != NaN: one run per NaN
-    ends = np.r_[starts[1:], v.size] - 1
-    ranks = np.empty(v.size)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    return ranks
+    if np.isnan(scores).any():
+        return math.nan
+    # below + ties/2 = (below + below-or-tied)/2, summed exactly as integers.
+    twice_u = int((np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")).sum())
+    return twice_u / 2.0 / (pos.size * neg.size)

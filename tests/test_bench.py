@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -302,6 +303,36 @@ class TestConfig:
         with pytest.raises(BadFormatError, match=match):
             parse_config(p)
 
+    @pytest.mark.parametrize(
+        "kind, unread",
+        [
+            ("pixel_deflect", {"adversarial_fraction": "0.1", "epochs": "3", "temperature": "5"}),
+            ("distill", {"attack": "nosuchattack", "deflections": "7", "seed": "9"}),
+        ],
+    )
+    def test_defence_option_its_kind_does_not_read_rejected(self, tmp_path, kind, unread):
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT + f"\n[defence.d]\nkind = {kind}\n" + "".join(f"{k} = {v}\n" for k, v in unread.items()))
+        with pytest.raises(BadFormatError, match=re.escape(f"[defence.d]: unknown options {sorted(unread)} for kind {kind!r}")):
+            parse_config(p)
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("arch = blob_cnn", "arch = resnet", "unknown arch 'resnet'"),
+            ("scale = 0.5", "scale = 0", "scale must be finite and > 0"),
+            ("scale = 0.5", "scale = -1", "scale must be finite and > 0"),
+            ("scale = 0.5", "scale = nan", "scale must be finite and > 0"),
+            ("scale = 0.5", "scale = inf", "scale must be finite and > 0"),
+        ],
+    )
+    def test_network_arch_and_scale_checked(self, tmp_path, old, new, match):
+        assert CONFIG_TEXT.count(old) == 1
+        p = tmp_path / "bad.ini"
+        p.write_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(BadFormatError, match=r"\[network\]: " + match):
+            parse_config(p)
+
     @pytest.mark.parametrize("path", sorted(REPO.glob("configs/*.ini")) + sorted(REPO.glob("perfbench/configs/*.ini")))
     def test_shipped_configs_parse(self, path):
         cfg = parse_config(path)
@@ -336,7 +367,11 @@ class TestConfig:
             ("epochs = 2\nbatch_size", "epochs = 0\nbatch_size", r"\[train\]: epochs must be >= 1"),
             ("learning_rate = 0.2", "learning_rate = nan", r"\[train\]: learning_rate"),
             ("epochs = 2\n\n[sweep]", "epochs = 0\n\n[sweep]", r"\[defence\.adv_train\] train overrides: epochs"),
-            ("adversarial_fraction = 0.5", "temperature = nan", r"\[defence\.adv_train\]: temperature"),
+            (
+                "adversarial_fraction = 0.5\nepochs = 2\n",
+                "adversarial_fraction = 0.5\nepochs = 2\n\n[defence.distill]\ntemperature = nan\n",
+                r"\[defence\.distill\]: temperature",
+            ),
         ],
     )
     def test_non_finite_or_empty_budget_in_a_config_file_rejected(self, tmp_path, old, new, match):

@@ -185,7 +185,7 @@ class TestGradientSaliency:
     def test_normalized_to_unit_range(self):
         xs, ys = toy_set(n=20, seed=15)
         net = trained_toy_net(xs, ys, seed=15, epochs=20)
-        sal = gradient_saliency(net, xs[0], int(ys[0]))
+        sal = gradient_saliency(net, xs[0])
         assert sal.shape == (1, 2)
         assert sal.max() == pytest.approx(1.0)
         assert sal.min() >= 0.0

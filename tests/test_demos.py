@@ -1,5 +1,6 @@
 """Demo scripts run end to end against the public API."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 from advlab.attacks import ATTACK_NAMES
+from advlab.bench import ReportRow
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -42,3 +44,25 @@ def test_attack_tour_demo(tmp_path):
         assert float(l2) >= 0.0 and float(ms) > 0.0
     steps = [ln for ln in lines if re.fullmatch(r"  t=\s*\d+ progress=[\d.]+ mu=[\d.]+", ln)]
     assert len(steps) == 16
+
+
+def test_defence_tour_demo(tmp_path):
+    out = run_demo("04_defence_tour.py", tmp_path, timeout=300)
+    lines = out.splitlines()
+    models = ("clean accuracy:", "undefended accuracy under attack:", "adv-trained:", "pixel deflection:", "distilled student:")
+    assert len(lines) >= len(models)
+    for line, prefix in zip(lines, models):
+        assert line.startswith(prefix)
+        assert all(0.0 <= float(v) <= 1.0 for v in re.findall(r"\d+\.\d+", line))
+    assert re.findall(r"^  T=\s*(\d+) first sample -> ", out, re.M) == ["1", "5", "20"]
+
+
+def test_benchmark_report_demo(tmp_path):
+    lines = run_demo("05_benchmark_report.py", tmp_path, timeout=300).splitlines()
+    means = [f for f in map(str.split, lines) if len(f) > 2 and f[0] == "attack" and f[2] == "mean"]
+    assert [m[1] for m in means] == ["fgsm", "mifgsm", "kryptonite"]
+    assert "epsilon sweep (6 points):" in lines
+    assert sum(1 for ln in lines if re.match(r"  \w+ +eps=", ln)) == 6
+    csv_lines = (tmp_path / "demo_out" / "mini.csv").read_text().splitlines()
+    header = next(ln for ln in csv_lines if not ln.startswith("#"))
+    assert header.split(",") == [f.name for f in dataclasses.fields(ReportRow)]
