@@ -1,4 +1,4 @@
-"""Report rows of perfbench's experiment configs, dumped per source tree and diffed.
+"""Report rows and parsed configs, dumped per source tree and diffed.
 
     python3 benchmarks/rows_equal.py dump --tree DIR --out parent.json
     python3 benchmarks/rows_equal.py dump --tree . --out change.json
@@ -8,8 +8,11 @@
 `perfbench/configs/{train,attack,defend}.ini` of this checkout (so both
 trees see the same configs) and writes every report row without
 `seconds_per_sample`, the one column that is a wall-clock time. Floats are written exactly (JSON floats round-trip), so
-`diff` compares them bit for bit, NaN equal to NaN. `diff` prints each
-differing cell and exits 1 when any row differs. The script reads the
+`diff` compares them bit for bit, NaN equal to NaN. `dump` also records
+the `repr` of the `ExperimentConfig` that `parse_config` makes of every
+file in `configs/` and `perfbench/configs/` of this checkout. `diff`
+prints each differing cell and each config file that parses
+differently, and exits 1 when anything differs. The script reads the
 configs and never writes them.
 """
 
@@ -25,11 +28,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "perfbench" / "configs"
 CONFIGS = ("train", "attack", "defend")
+CONFIG_FILES = sorted(ROOT.glob("configs/*.ini")) + sorted(CONFIG_DIR.glob("*.ini"))
 TIMED = "seconds_per_sample"
 
 
-def dump(tree: Path) -> dict[str, list[dict]]:
-    """Config name -> its report rows as dicts, TIMED left out."""
+def parsed_configs() -> dict[str, str]:
+    """Path of every file in CONFIG_FILES, relative to ROOT -> repr of the
+    ExperimentConfig the importable advlab parses from it."""
+    from advlab.bench import parse_config
+
+    return {str(p.relative_to(ROOT)): repr(parse_config(p)) for p in CONFIG_FILES}
+
+
+def dump(tree: Path) -> dict:
+    """{"rows": config name -> its report rows as dicts, TIMED left out,
+    "configs": parsed_configs()}, with advlab imported from tree."""
     sys.path.insert(0, str(tree.resolve() / "src"))
     from advlab.bench import parse_config, run_experiment
 
@@ -37,7 +50,7 @@ def dump(tree: Path) -> dict[str, list[dict]]:
     for name in CONFIGS:
         report = run_experiment(parse_config(CONFIG_DIR / f"{name}.ini"))
         rows[name] = [{k: v for k, v in dataclasses.asdict(r).items() if k != TIMED} for r in report]
-    return rows
+    return {"rows": rows, "configs": parsed_configs()}
 
 
 def _same(a, b) -> bool:
@@ -57,6 +70,12 @@ def diff(a: dict[str, list[dict]], b: dict[str, list[dict]]) -> list[str]:
     return out
 
 
+def diff_configs(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """One line per config file that parses differently or is in one dump only."""
+    out = [f"config file {path} in one dump only" for path in sorted(set(a) ^ set(b))]
+    return out + [f"config file {path} parses differently" for path in sorted(set(a) & set(b)) if a[path] != b[path]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,14 +88,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "dump":
-        rows = dump(args.tree)
-        args.out.write_text(json.dumps(rows, indent=1) + "\n")
-        print(f"{sum(map(len, rows.values()))} rows of {', '.join(rows)} -> {args.out}")
+        out = dump(args.tree)
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
+        rows = out["rows"]
+        print(f"{sum(map(len, rows.values()))} rows of {', '.join(rows)} and {len(out['configs'])} parsed configs -> {args.out}")
         return 0
     a, b = (json.loads(p.read_text()) for p in (args.a, args.b))
-    lines = diff(a, b)
-    counts = ", ".join(f"{name} {len(rows)} rows" for name, rows in a.items())
-    print("\n".join(lines) if lines else f"equal: {counts}, every column but {TIMED}")
+    lines = diff(a["rows"], b["rows"]) + diff_configs(a["configs"], b["configs"])
+    counts = ", ".join(f"{name} {len(rows)} rows" for name, rows in a["rows"].items())
+    summary = f"equal: {counts}, every column but {TIMED}; {len(a['configs'])} config files parse alike"
+    print("\n".join(lines) if lines else summary)
     return 1 if lines else 0
 
 

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from ..attacks import ATTACK_NAMES, AttackConfig
+from ..attacks import ATTACK_NAMES, ROI_ATTACKS, AttackConfig
 from ..defences import DEFENCE_KINDS, DefenceConfig
 from ..errors import BadFormatError
-from ..gradnet import TrainConfig
+from ..gradnet import ARCHITECTURES, TrainConfig
 
 
 def check_split(train: int, test: int, what: str) -> None:
@@ -46,29 +46,28 @@ class DatasetSpec:
         return int(round(self.train_fraction * self.n))
 
 
-ARCHITECTURES = ("blob_cnn", "reference")  # the names runner.network_specs builds
-
-
 @dataclass
 class NetworkSpec:
-    arch: str = "blob_cnn"  # one of ARCHITECTURES
+    arch: str = "blob_cnn"  # one of gradnet.ARCHITECTURES
     scale: float = 1.0  # width multiplier
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
-            raise ValueError(f"unknown arch {self.arch!r}; choose from {ARCHITECTURES}")
+            raise ValueError(f"unknown arch {self.arch!r}; choose from {tuple(ARCHITECTURES)}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
 
-SWEEP_AXES = ("epsilon", "decay_weight", "overshoot")  # AttackConfig fields a sweep can vary
+# The AttackConfig fields a sweep can vary, each mapped to the attack kinds
+# it applies to; a sweep skips the other kinds.
+SWEEP_AXES = {"epsilon": ATTACK_NAMES, "decay_weight": ROI_ATTACKS, "overshoot": ("deepfool",)}
 
 
 @dataclass
 class SweepSpec:
     axis: str = "epsilon"  # one of SWEEP_AXES
-    values: tuple = ()
-    attacks: tuple = ()
+    values: tuple[float, ...] = ()
+    attacks: tuple[str, ...] = ()
     samples: int = 100
 
     def __post_init__(self):
@@ -97,27 +96,23 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
 
 
-def _values_tuple(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def _names_tuple(raw: str) -> tuple:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-
-
-# Option names are unique across sections, so one type table covers all.
-_FIELD_TYPES = {
-    "name": str, "trials": int,
-    "n": int, "size": int, "seed": int, "train_fraction": float, "manifest": str,
-    "arch": str, "scale": float,
-    "epochs": int, "batch_size": int, "learning_rate": float,
-    "stop_accuracy": float,
-    "epsilon": float, "iterations": int, "alpha": float, "decay_weight": float,
-    "initial_decay": float, "overshoot": float,
-    "kind": str, "adversarial_fraction": float,
-    "regenerate": str, "deflections": int, "window": int, "denoise": bool,
-    "temperature": float,
-    "axis": str, "values": _values_tuple, "attacks": _names_tuple, "samples": int,
+# Option value parsers by the annotation of the dataclass field the option
+# fills, as source text (every config dataclass's module uses `from
+# __future__ import annotations`); an optional field (`T | None`) is parsed as T.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str.strip,
+    "bool": _bool,
+    "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.replace(",", " ").split()),
+    "tuple[str, ...]": lambda raw: tuple(tok.strip() for tok in raw.split(",") if tok.strip()),
 }
 
 
@@ -132,30 +127,18 @@ _DEFENCE_OPTIONS = {
 }
 
 
-def _coerce(raw: str, target_type):
-    if target_type is bool:
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if target_type is str:
-        return raw.strip()
-    return target_type(raw)
-
-
 def _fill_dataclass(cls, options: dict, context: str, base=None, allowed=None):
     """Build cls (or replace fields of base) from a section's raw options;
     an unknown option, a bad value or a rejected combination raises
     BadFormatError naming the section."""
-    unknown = sorted(options.keys() - (allowed or {f.name for f in fields(cls)}))
+    types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
+    unknown = sorted(options.keys() - (allowed or types.keys()))
     if unknown:
         raise BadFormatError(f"{context}: unknown options {unknown}")
     kwargs = {}
     for key, raw in options.items():
         try:
-            kwargs[key] = _coerce(raw, _FIELD_TYPES.get(key, str))
+            kwargs[key] = _PARSERS[types[key]](raw)
         except ValueError as exc:
             raise BadFormatError(f"{context}.{key}: {exc}") from exc
     try:
@@ -181,6 +164,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if parser.has_section("train"):
         cfg.train = _fill_dataclass(TrainConfig, dict(parser.items("train")), "[train]")
 
+    # Attacks first, so that adversarial training resolves its attack
+    # against the whole roster; each roster keeps its file order.
     for section in parser.sections():
         if section.startswith("attack."):
             name = section.split(".", 1)[1]
@@ -188,9 +173,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             kind = opts.pop("kind", name)
             if kind not in ATTACK_NAMES:
                 raise BadFormatError(f"[{section}]: unknown attack kind {kind!r}")
-            acfg = _fill_dataclass(AttackConfig, opts, f"[{section}]")
-            cfg.attacks[name] = (kind, acfg)
-        elif section.startswith("defence."):
+            cfg.attacks[name] = (kind, _fill_dataclass(AttackConfig, opts, f"[{section}]"))
+    for section in parser.sections():
+        if section.startswith("defence."):
             name = section.split(".", 1)[1]
             opts = dict(parser.items(section))
             kind = opts.pop("kind", name)
@@ -199,32 +184,23 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             unknown = sorted(opts.keys() - _DEFENCE_OPTIONS[kind])
             if unknown:
                 raise BadFormatError(f"[{section}]: unknown options {unknown} for kind {kind!r}")
-            attack_ref = opts.pop("attack", None)
+            attack = opts.pop("attack", DefenceConfig.attack_name)
             train_over = {k: opts.pop(k) for k in _TRAIN_OVERRIDES if k in opts}
             dcfg = _fill_dataclass(DefenceConfig, {"kind": kind, **opts}, f"[{section}]")
             dcfg.train = _fill_dataclass(
                 TrainConfig, train_over, f"[{section}] train overrides", base=cfg.train
             )
-            if attack_ref is not None:
-                dcfg.attack_name = attack_ref
+            if kind == "adv_train":
+                if attack in cfg.attacks:
+                    dcfg.attack_name, dcfg.attack = cfg.attacks[attack]
+                elif attack in ATTACK_NAMES:
+                    dcfg.attack_name = attack
+                else:
+                    raise BadFormatError(f"[{section}]: attack {attack!r} is neither a configured attack nor a known kind")
             cfg.defences[name] = dcfg
     if parser.has_section("sweep"):
         cfg.sweep = _fill_dataclass(SweepSpec, dict(parser.items("sweep")), "[sweep]")
-
-    # Sweep and defence attack references must resolve against the roster.
-    if cfg.sweep is not None:
         for name in cfg.sweep.attacks:
             if name not in cfg.attacks:
                 raise BadFormatError(f"[sweep]: attack {name!r} is not a configured attack")
-    for name, dcfg in cfg.defences.items():
-        if dcfg.kind == "adv_train":
-            if dcfg.attack_name in cfg.attacks:
-                kind, acfg = cfg.attacks[dcfg.attack_name]
-                dcfg.attack_name = kind
-                dcfg.attack = acfg
-            elif dcfg.attack_name not in ATTACK_NAMES:
-                raise BadFormatError(
-                    f"[defence.{name}]: attack {dcfg.attack_name!r} is neither a "
-                    "configured attack nor a known kind"
-                )
     return cfg

@@ -13,50 +13,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..attacks import ATTACK_NAMES, ROI_ATTACKS, AttackConfig, extract_roi_or_full, run_attack, run_attacks
-from ..errors import ZeroGradientError
+from ..attacks import ROI_ATTACKS, AttackConfig, extract_roi_or_full, run_attack, run_attacks
+from ..errors import BadFormatError, ZeroGradientError
 from ..defences import adversarial_train, distill, gradient_saliency, pixel_deflect
-from ..gradnet import (
-    build,
-    conv,
-    dense,
-    flatten,
-    maxpool,
-    reference_cnn_specs,
-    relu,
-    sigmoid,
-    train,
-)
+from ..gradnet import ARCHITECTURES, build, train
 from ..metrics import accuracy, roc_auc
-from .config import ExperimentConfig, SweepSpec, check_split
+from .config import SWEEP_AXES, ExperimentConfig, SweepSpec, check_split
 from .dataset import load_dataset
 from .report import COLUMNS, ReportRow
 from .synth import generate_images
 
 
 def network_specs(arch: str, input_hw: int, scale: float = 1.0):
-    """Named architectures usable in experiment configs."""
-    if arch == "reference":
-        return reference_cnn_specs(input_hw=input_hw, scale=scale)
-    if arch == "blob_cnn":
-        def s(w):
-            return max(1, round(w * scale))
-
-        specs = [
-            conv(s(8), 3),
-            relu(),
-            maxpool(2, 2),
-            conv(s(16), 3),
-            relu(),
-            maxpool(2, 2),
-            flatten(),
-            dense(s(64)),
-            relu(),
-            dense(1),
-            sigmoid(),
-        ]
-        return specs, (input_hw, input_hw, 1)
-    raise ValueError(f"unknown architecture {arch!r}")
+    """(specs, input shape) of a named architecture of gradnet.ARCHITECTURES."""
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}")
+    return ARCHITECTURES[arch](input_hw=input_hw, scale=scale)
 
 
 @dataclass
@@ -188,36 +160,35 @@ def mean_rows(rows: list[ReportRow]) -> list[ReportRow]:
     return out
 
 
-# The attack kinds a sweep axis applies to; epsilon applies to every kind.
-_AXIS_KINDS = {"decay_weight": ROI_ATTACKS, "overshoot": ("deepfool",)}
-
-
 def sweep(cfg: ExperimentConfig, spec: SweepSpec | None = None) -> list[dict]:
     """One (attack, value, ROC-AUC) record per grid point.
 
-    epsilon sweeps every listed attack; decay_weight applies to the
-    RoI-guided attack and overshoot to the hyperplane-stepping one (other
-    attacks are unaffected by those axes and are skipped).
+    Each axis varies the attacks of the kinds SWEEP_AXES gives it: epsilon
+    every kind, decay_weight the RoI-guided ones and overshoot the
+    hyperplane-stepping one; the others are skipped. Every grid point's
+    AttackConfig is built, and so checked, before any data or training.
     """
     spec = spec or cfg.sweep
     if spec is None:
         raise ValueError("no sweep requested")
+    wanted = SWEEP_AXES[spec.axis]
+    roster = {name: cfg.attacks[name] for name in spec.attacks or cfg.attacks if cfg.attacks[name][0] in wanted}
+    grid = []
+    for name, (kind, acfg) in roster.items():
+        for value in map(float, spec.values):
+            try:
+                grid.append((name, kind, value, replace(acfg, **{spec.axis: value})))
+            except ValueError as exc:
+                raise BadFormatError(f"[sweep]: {exc}") from exc
     data = prepare_trial_data(cfg, 0)
     net = train_network(cfg, data, 0)
     take = min(spec.samples, data.test_x.shape[0])
     xs, ys = data.test_x[:take], data.test_y[:take]
-
-    wanted = _AXIS_KINDS.get(spec.axis, ATTACK_NAMES)
-    roster = {name: cfg.attacks[name] for name in spec.attacks or cfg.attacks if cfg.attacks[name][0] in wanted}
     rois = clean_rois(roster, xs)
     records = []
-    for name, (kind, acfg) in roster.items():
-        for value in spec.values:
-            acfg_v = replace(acfg, **{spec.axis: float(value)})
-            stats = _attack_stats(net, kind, acfg_v, xs, ys, rois)
-            records.append(
-                {"attack": name, "axis": spec.axis, "value": float(value), "roc_auc": stats["roc_auc"]}
-            )
+    for name, kind, value, acfg in grid:
+        stats = _attack_stats(net, kind, acfg, xs, ys, rois)
+        records.append({"attack": name, "axis": spec.axis, "value": value, "roc_auc": stats["roc_auc"]})
     return records
 
 

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="hyperparameter sweep, CSV output")
     _add_common(p)
-    p.add_argument("--axis", choices=SWEEP_AXES, default=None)
+    p.add_argument("--axis", choices=list(SWEEP_AXES), default=None)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="full experiment, CSV + JSON reports")

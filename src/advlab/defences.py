@@ -46,10 +46,8 @@ class DefenceConfig:
             raise ValueError("deflections must be >= 0")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.temperature <= 0:
-            raise NonPositiveTemperatureError("temperature must be > 0")
-        if not np.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature}")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise NonPositiveTemperatureError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.regenerate not in ("per_epoch", "once"):
             raise ValueError("regenerate must be 'per_epoch' or 'once'")
 

@@ -42,7 +42,7 @@ class EmptyDatasetError(AdvlabError, ValueError):
 
 
 class NonPositiveTemperatureError(AdvlabError, ValueError):
-    """Softmax temperature must be strictly positive."""
+    """Softmax temperature must be finite and strictly positive."""
 
 
 class ZeroGradientError(AdvlabError, ArithmeticError):

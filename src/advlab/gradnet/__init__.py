@@ -13,6 +13,7 @@ from .layers import (
     softmax_with_temperature,
 )
 from .network import (
+    ARCHITECTURES,
     Network,
     build,
     promote_to_softmax,
@@ -23,6 +24,7 @@ from .serialize import load_network, save_network
 from .train import TrainConfig, evaluate, sgd_epoch, train
 
 __all__ = [
+    "ARCHITECTURES",
     "LayerSpec",
     "Network",
     "TrainConfig",

@@ -63,8 +63,8 @@ class LayerSpec:
                 raise ValueError("conv is same-padded with stride 1")
         if self.kind == "dropout" and not (0.0 <= (self.rate or 0.0) < 1.0):
             raise ValueError("dropout rate must lie in [0, 1)")
-        if self.kind == "softmax" and self.temperature <= 0.0:
-            raise NonPositiveTemperatureError("temperature must be > 0")
+        if self.kind == "softmax" and not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise NonPositiveTemperatureError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
 def conv(out_channels: int, kernel_size: int = 3) -> LayerSpec:
@@ -211,8 +211,8 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarr
     Larger temperatures flatten the distribution toward uniform; the
     computation is shifted by the row max for stability.
     """
-    if temperature <= 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
+    if not (np.isfinite(temperature) and temperature > 0.0):
+        raise NonPositiveTemperatureError(f"temperature must be finite and > 0, got {temperature}")
     z = np.asarray(logits, dtype=float) / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

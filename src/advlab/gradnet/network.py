@@ -342,16 +342,38 @@ def build(specs: list[LayerSpec], input_shape: tuple, seed: int = 0) -> Network:
     return Network(specs=list(specs), input_shape=tuple(input_shape), params=params, shapes=shapes, rng=rng)
 
 
+def _width_scaler(scale: float):
+    """Width rule of the named architectures: a hidden width times
+    `scale`, at least 1. The dense(1) head is never scaled."""
+    return lambda width: max(1, round(width * scale))
+
+
+def blob_cnn_specs(input_hw: int = 32, scale: float = 1.0) -> tuple[list[LayerSpec], tuple]:
+    """Two-conv grayscale CNN sized for the synthetic blob images."""
+    s = _width_scaler(scale)
+    specs = [
+        conv(s(8), 3),
+        relu(),
+        maxpool(2, 2),
+        conv(s(16), 3),
+        relu(),
+        maxpool(2, 2),
+        flatten(),
+        dense(s(64)),
+        relu(),
+        dense(1),
+        sigmoid(),
+    ]
+    return specs, (input_hw, input_hw, 1)
+
+
 def reference_cnn_specs(input_hw: int = 126, scale: float = 1.0) -> tuple[list[LayerSpec], tuple]:
     """Stock grayscale CNN descriptor used by the harness.
 
     At full width on a 126x126x1 input the stack holds exactly 60,307,326
-    parameters. `scale` shrinks every width for desk-scale runs.
+    parameters. `scale` shrinks every hidden width for desk-scale runs.
     """
-
-    def s(width: int) -> int:
-        return max(1, round(width * scale))
-
+    s = _width_scaler(scale)
     specs = [
         conv(s(50), 3),
         relu(),
@@ -374,6 +396,11 @@ def reference_cnn_specs(input_hw: int = 126, scale: float = 1.0) -> tuple[list[L
         sigmoid(),
     ]
     return specs, (input_hw, input_hw, 1)
+
+
+# The architectures an experiment config can name, each mapped to its
+# spec builder (input_hw, scale) -> (specs, input shape).
+ARCHITECTURES = {"blob_cnn": blob_cnn_specs, "reference": reference_cnn_specs}
 
 
 def promote_to_softmax(specs: list[LayerSpec], temperature: float = 1.0) -> list[LayerSpec]:

@@ -396,6 +396,53 @@ class TestConfig:
         with pytest.raises(BadFormatError, match=r"\[dataset\]: train_fraction"):
             parse_config(p)
 
+    def test_every_option_each_section_accepts_parses(self, tmp_path):
+        # Each option's type comes from its dataclass field, so this fails
+        # if a field's annotation has no parser.
+        p = tmp_path / "all.ini"
+        p.write_text(
+            "[experiment]\nname = every\ntrials = 1\nseed = 2\n"
+            "[dataset]\nn = 40\nsize = 16\nseed = 3\ntrain_fraction = 0.75\nmanifest = set/manifest.json\n"
+            "[network]\narch = reference\nscale = 0.25\n"
+            "[train]\nepochs = 2\nbatch_size = 4\nlearning_rate = 0.05\nseed = 5\nstop_accuracy = 0.9\n"
+            "[attack.a]\nkind = kryptonite\nepsilon = 0.1\niterations = 3\nalpha = 0.04\n"
+            "decay_weight = 0.2\ninitial_decay = 0.4\novershoot = 0.01\nseed = 6\n"
+            "[defence.adv]\nkind = adv_train\nattack = a\nadversarial_fraction = 0.3\nregenerate = once\nseed = 7\n"
+            "epochs = 3\nbatch_size = 8\nlearning_rate = 0.2\n"
+            "[defence.px]\nkind = pixel_deflect\ndeflections = 9\nwindow = 2\ndenoise = off\nseed = 8\n"
+            "[defence.ds]\nkind = distill\ntemperature = 4\nepochs = 1\nbatch_size = 2\nlearning_rate = 0.3\n"
+            "[sweep]\naxis = overshoot\nvalues = 0.1 0.2\nattacks = a\nsamples = 5\n"
+        )
+        cfg = parse_config(p)
+        assert (cfg.name, cfg.trials, cfg.seed) == ("every", 1, 2)
+        assert cfg.dataset == DatasetSpec(n=40, size=16, seed=3, train_fraction=0.75, manifest="set/manifest.json")
+        assert (cfg.network.arch, cfg.network.scale) == ("reference", 0.25)
+        assert cfg.train == TrainConfig(epochs=2, batch_size=4, learning_rate=0.05, seed=5, stop_accuracy=0.9)
+        attack = AttackConfig(epsilon=0.1, iterations=3, alpha=0.04, decay_weight=0.2, initial_decay=0.4, overshoot=0.01, seed=6)
+        assert cfg.attacks == {"a": ("kryptonite", attack)}
+        adv, px, ds = cfg.defences.values()
+        assert (adv.attack_name, adv.attack, adv.adversarial_fraction, adv.regenerate, adv.seed) == (
+            "kryptonite", attack, 0.3, "once", 7
+        )
+        assert adv.train == TrainConfig(epochs=3, batch_size=8, learning_rate=0.2, seed=5, stop_accuracy=0.9)
+        assert (px.deflections, px.window, px.denoise, px.seed) == (9, 2, False, 8)
+        assert ds.temperature == 4.0 and (ds.train.epochs, ds.train.batch_size, ds.train.learning_rate) == (1, 2, 0.3)
+        assert cfg.sweep == SweepSpec(axis="overshoot", values=(0.1, 0.2), attacks=("a",), samples=5)
+
+    def test_defence_before_the_attack_it_names_gets_the_roster_attack(self, tmp_path):
+        p = tmp_path / "order.ini"
+        p.write_text(
+            "[defence.adv_train]\nattack = fgsm\n"
+            "[attack.pgd]\nepsilon = 0.2\niterations = 2\n"
+            "[defence.distill]\ntemperature = 3\n"
+            "[attack.fgsm]\nepsilon = 0.07\n"
+        )
+        cfg = parse_config(p)
+        assert list(cfg.attacks) == ["pgd", "fgsm"]
+        assert list(cfg.defences) == ["adv_train", "distill"]
+        dcfg = cfg.defences["adv_train"]
+        assert (dcfg.attack_name, dcfg.attack) == cfg.attacks["fgsm"] == ("fgsm", AttackConfig(epsilon=0.07))
+
     def test_manifest_split_is_not_checked_against_n(self):
         assert DatasetSpec(n=40, train_fraction=1.0, manifest="set/manifest.json").manifest
 

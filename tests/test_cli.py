@@ -148,6 +148,16 @@ class TestCli:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "advlab: error:" in capsys.readouterr().err
 
+    def test_sweep_value_out_of_range_for_the_axis_option_exits_before_training(self, tmp_path, monkeypatch, capsys):
+        # 1.5 is a valid overshoot, the file's axis, but not an epsilon.
+        from advlab.bench import runner
+
+        monkeypatch.setattr(runner, "train_network", lambda *a: pytest.fail("trained before the sweep error"))
+        p = tmp_path / "bad.ini"
+        p.write_text(SMALL_CONFIG.replace("axis = epsilon\nvalues = 0, 0.1", "axis = overshoot\nvalues = 0.05, 1.5"))
+        assert main(["sweep", "--config", str(p), "--axis", "epsilon", "--out", str(tmp_path / "out")]) == 2
+        assert "[sweep]: epsilon must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
     def test_report_writes_csv_and_json(self, tmp_path, config_file):
         out = tmp_path / "report"
         assert main(["report", "--config", str(config_file), "--out", str(out)]) == 0

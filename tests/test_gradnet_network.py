@@ -57,6 +57,13 @@ class TestBuild:
         assert shapes[5] == (63, 63, 8)
         assert shapes[9][0] == 31
 
+    @pytest.mark.parametrize("arch", ["blob_cnn", "reference"])
+    def test_scaled_architecture_keeps_its_one_unit_head(self, arch):
+        # Scaling widens hidden layers only; a scaled dense(1) head would
+        # become dense(2) at scale >= 1.5, which a sigmoid head rejects.
+        specs, _ = network_specs(arch, 32, 2.0)
+        assert specs[-2:] == [dense(1), sigmoid()]
+
     def test_shape_mismatch_names_layer(self):
         with pytest.raises(ShapeMismatchError) as exc:
             build([dense(3), sigmoid()], (2, 2, 1), seed=0)
@@ -226,6 +233,18 @@ class TestSoftmaxTemperature:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveTemperatureError):
             softmax_with_temperature(np.array([1.0, 2.0]), 0.0)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_rejects_non_finite(self, temperature):
+        # NaN passes a `<= 0` test and would turn every output into NaN;
+        # inf flattens every output to uniform.
+        with pytest.raises(NonPositiveTemperatureError):
+            softmax_with_temperature(np.array([1.0, 2.0]), temperature)
+        with pytest.raises(NonPositiveTemperatureError):
+            build([flatten(), dense(2), softmax(temperature)], (2, 2, 1))
+        net = build([flatten(), dense(2), softmax()], (2, 2, 1))
+        with pytest.raises(NonPositiveTemperatureError):
+            net.set_temperature(temperature)
 
 
 class TestPromotion:

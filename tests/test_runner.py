@@ -7,6 +7,7 @@ import pytest
 
 from advlab.bench import parse_config, run_experiment, sweep, time_attacks
 from advlab.bench.config import SweepSpec
+from advlab.errors import BadFormatError
 
 TINY = """
 [experiment]
@@ -204,6 +205,25 @@ class TestSweep:
         assert {r["attack"] for r in records} == {"kryptonite"}
         records = sweep(cfg, SweepSpec(axis="overshoot", values=(0.0, 0.1), samples=6))
         assert records == []  # no hyperplane attack configured
+
+
+    @pytest.mark.parametrize(
+        "axis, values, match",
+        [
+            ("epsilon", "0.05 1.5", r"\[sweep\]: epsilon must lie in \[0, 1\], got 1.5"),
+            ("decay_weight", "0.01 nan", r"\[sweep\]: decay_weight.*must be finite"),
+        ],
+        ids=["epsilon", "decay_weight"],
+    )
+    def test_bad_value_rejected_before_any_work(self, tmp_path, monkeypatch, axis, values, match):
+        from advlab.bench import runner
+
+        monkeypatch.setattr(runner, "prepare_trial_data", lambda *a: pytest.fail("made data before checking the grid"))
+        monkeypatch.setattr(runner, "train_network", lambda *a: pytest.fail("trained before checking the grid"))
+        p = tmp_path / "s.ini"
+        p.write_text(TINY.split("[defence.adv_train]")[0] + f"\n[sweep]\naxis = {axis}\nvalues = {values}\n")
+        with pytest.raises(BadFormatError, match=match):
+            sweep(parse_config(p))
 
 
 class TestTimeAttacks:
