@@ -69,13 +69,11 @@ def clean_rois(roster: dict, xs) -> np.ndarray | None:
     return np.stack([extract_roi_or_full(x) for x in xs])
 
 
-def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, rois, transform=None) -> dict:
-    """Attack every sample in one batched call, pass each adversarial
-    through `transform` when given, and score the batch. The keys are
-    ReportRow fields."""
-    res = run_attacks(kind, net, xs, ys, acfg, rois=rois)
-    advs = res.adversarial if transform is None else np.stack([transform(a) for a in res.adversarial])
-    acc, auc = _clean_stats(net, advs, ys)
+def _attack_stats(source, target, kind: str, acfg: AttackConfig, xs, ys, rois) -> dict:
+    """Attack `source` on every sample in one batched call and score the
+    adversarials on `target`. The keys are ReportRow fields."""
+    res = run_attacks(kind, source, xs, ys, acfg, rois=rois)
+    acc, auc = _clean_stats(target, res.adversarial, ys)
     kept = res.l2_percent[~np.isnan(res.l2_percent)]
     return {
         "accuracy_under_attack": acc,
@@ -86,25 +84,41 @@ def _attack_stats(net, kind: str, acfg: AttackConfig, xs, ys, rois, transform=No
     }
 
 
-def _clean_stats(net, xs, ys) -> tuple[float, float]:
-    preds, scores = net.predict_and_score(xs)
+def _clean_stats(model, xs, ys) -> tuple[float, float]:
+    preds, scores = model.predict_and_score(xs)
     return accuracy(preds, ys), roc_auc(scores, ys)
 
 
+class Deflected:
+    """The net behind pixel deflection: each image is deflected with the
+    net's own saliency map, then the net scores the batch. It lives here
+    so that pixel_deflect and gradient_saliency resolve through this
+    module's globals, where perfbench wraps them."""
+
+    def __init__(self, net, cfg):
+        self.net, self.cfg = net, cfg
+
+    def predict_and_score(self, xs):
+        deflected = [pixel_deflect(x, gradient_saliency(self.net, x), self.cfg) for x in xs]
+        return self.net.predict_and_score(np.stack(deflected))
+
+
 def _attacked_models(cfg: ExperimentConfig, data: TrialData, net, trial: int):
-    """(defence name, model, input transform) of each model a trial
-    attacks: the undefended net first, named None, then every defence,
-    built only when reached."""
-    yield None, net, None
+    """(defence name, source, target) of each model a trial attacks: the
+    attack reads gradients from the source and the target scores. The
+    undefended net comes first, named None, then every defence, built
+    only when reached."""
+    yield None, net, net
     for dname, dcfg in cfg.defences.items():
         dcfg = replace(dcfg, seed=dcfg.seed + trial, train=replace(dcfg.train, seed=dcfg.train.seed + trial))
         if dcfg.kind == "adv_train":
-            yield dname, adversarial_train(net, (data.train_x, data.train_y), dcfg)[0], None
+            source = target = adversarial_train(net, (data.train_x, data.train_y), dcfg)[0]
         elif dcfg.kind == "distill":
             specs, shape = network_specs(cfg.network.arch, data.train_x.shape[1], cfg.network.scale)
-            yield dname, distill(specs, shape, (data.train_x, data.train_y), dcfg)[0], None
-        else:  # pixel_deflect: the undefended net behind a saliency-guided input transform
-            yield dname, net, lambda img, d=dcfg: pixel_deflect(img, gradient_saliency(net, img), d)
+            source = target = distill(specs, shape, (data.train_x, data.train_y), dcfg)[0]
+        else:  # pixel_deflect: a transfer row, attacking the undefended net
+            source, target = net, Deflected(net, dcfg)
+        yield dname, source, target
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
@@ -118,13 +132,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
         xs, ys = data.test_x, data.test_y
         net = train_network(cfg, data, trial)
         rois = clean_rois(cfg.attacks, xs)
-        for dname, model, transform in _attacked_models(cfg, data, net, trial):
-            clean = xs if transform is None else np.stack([transform(x) for x in xs])
-            clean_acc, clean_auc = _clean_stats(model, clean, ys)
+        for dname, source, target in _attacked_models(cfg, data, net, trial):
+            clean_acc, clean_auc = _clean_stats(target, xs, ys)
             if dname is None:
                 rows.append(ReportRow(row="clean", network=net_id, trial=trial, clean_accuracy=clean_acc, roc_auc=clean_auc))
             for aname, (kind, acfg) in cfg.attacks.items():
-                stats = _attack_stats(model, kind, replace(acfg, seed=acfg.seed + trial), xs, ys, rois, transform)
+                stats = _attack_stats(source, target, kind, replace(acfg, seed=acfg.seed + trial), xs, ys, rois)
                 if dname is not None:  # defence rows report accuracy and AUC only
                     stats = {k: stats[k] for k in ("accuracy_under_attack", "roc_auc")}
                 rows.append(
@@ -165,14 +178,20 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec | None = None) -> list[dict]:
 
     Each axis varies the attacks of the kinds SWEEP_AXES gives it: epsilon
     every kind, decay_weight the RoI-guided ones and overshoot the
-    hyperplane-stepping one; the others are skipped. Every grid point's
-    AttackConfig is built, and so checked, before any data or training.
+    hyperplane-stepping one; the others are skipped. An attack name the
+    config lacks, a roster the axis skips entirely and every grid point's
+    AttackConfig are checked before any data or training.
     """
     spec = spec or cfg.sweep
     if spec is None:
         raise ValueError("no sweep requested")
+    for name in spec.attacks:
+        if name not in cfg.attacks:
+            raise BadFormatError(f"[sweep]: attack {name!r} is not a configured attack")
     wanted = SWEEP_AXES[spec.axis]
     roster = {name: cfg.attacks[name] for name in spec.attacks or cfg.attacks if cfg.attacks[name][0] in wanted}
+    if not roster:
+        raise BadFormatError(f"[sweep]: the {spec.axis} axis varies only {', '.join(wanted)}, and no attack to sweep is one")
     grid = []
     for name, (kind, acfg) in roster.items():
         for value in map(float, spec.values):
@@ -187,7 +206,7 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec | None = None) -> list[dict]:
     rois = clean_rois(roster, xs)
     records = []
     for name, kind, value, acfg in grid:
-        stats = _attack_stats(net, kind, acfg, xs, ys, rois)
+        stats = _attack_stats(net, net, kind, acfg, xs, ys, rois)
         records.append({"attack": name, "axis": spec.axis, "value": value, "roc_auc": stats["roc_auc"]})
     return records
 

@@ -32,14 +32,13 @@ from .imagekit import read_image, roi_mask, square_kernel, write_mask
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--seed", type=int, default=None, help="override the experiment seed")
+    p.add_argument("--seed", type=int, default=None, help="add N to the dataset and training seeds only")
     p.add_argument("--out", default="out", help="output directory or file")
 
 
 def _load(args) -> "ExperimentConfig":
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
         cfg.dataset.seed += args.seed
         cfg.train.seed += args.seed
     return cfg

@@ -119,6 +119,25 @@ class TestCli:
         assert csv_text.splitlines()[0] == "attack,axis,value,roc_auc"
         assert len(csv_text.splitlines()) == 3
 
+    def test_seed_offsets_dataset_and_training_seeds_only(self, tmp_path):
+        from advlab.bench import parse_config
+        from advlab.cli import _load
+
+        p = tmp_path / "seeded.ini"
+        p.write_text(
+            SMALL_CONFIG.replace("[sweep]", "[attack.pgd]\nepsilon = 0.1\nseed = 5\n\n[sweep]")
+            + "\n[defence.adv_train]\nkind = adv_train\nattack = pgd\nseed = 6\n"
+            + "\n[defence.pixel_deflect]\nkind = pixel_deflect\nseed = 7\n"
+        )
+        base = parse_config(p)
+        moved = _load(build_parser().parse_args(["report", "--config", str(p), "--seed", "3"]))
+        assert (moved.dataset.seed, moved.train.seed) == (base.dataset.seed + 3, base.train.seed + 3)
+        assert moved.seed == base.seed  # [experiment] seed is read by no code
+        assert moved.attacks == base.attacks
+        assert moved.defences == base.defences
+        assert moved.attacks["pgd"][1].seed == 5
+        assert [d.seed for d in moved.defences.values()] == [6, 7]
+
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_sweep_axis_choices_are_sweep_axes(self, axis):
         args = build_parser().parse_args(["sweep", "--config", "exp.ini", "--axis", axis])

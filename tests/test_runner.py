@@ -143,6 +143,43 @@ class TestRunExperiment:
         defence = next(r for r in rows if r.row == "defence" and r.trial == 0)
         assert 0.0 <= defence.accuracy_under_attack <= 1.0
 
+    def test_pixel_deflect_row_is_a_transfer_from_the_bare_net(self, tmp_path):
+        # The row, rebuilt from public functions: attack the undefended
+        # net, deflect every adversarial and every clean image with the
+        # net's own saliency, score both on the net. Trial 1, where the
+        # seed offsets are nonzero.
+        from dataclasses import replace
+
+        from advlab.attacks import run_attacks
+        from advlab.bench import prepare_trial_data, train_network
+        from advlab.defences import gradient_saliency, pixel_deflect
+        from advlab.metrics import accuracy, roc_auc
+
+        p = tmp_path / "deflect.ini"
+        p.write_text(
+            TINY.split("[attack.kryptonite]")[0]
+            + "\n[defence.pixel_deflect]\nkind = pixel_deflect\ndeflections = 10\nwindow = 2\nseed = 3\n"
+        )
+        cfg = parse_config(p)
+        trial = 1
+        row = next(r for r in run_experiment(cfg) if r.row == "defence" and r.trial == trial)
+
+        data = prepare_trial_data(cfg, trial)
+        net = train_network(cfg, data, trial)
+        kind, acfg = cfg.attacks["fgsm"]
+        advs = run_attacks(kind, net, data.test_x, data.test_y, replace(acfg, seed=acfg.seed + trial)).adversarial
+        dcfg = cfg.defences["pixel_deflect"]
+        dcfg = replace(dcfg, seed=dcfg.seed + trial)
+
+        def scored(xs):
+            preds, scores = net.predict_and_score(np.stack([pixel_deflect(x, gradient_saliency(net, x), dcfg) for x in xs]))
+            return accuracy(preds, data.test_y), roc_auc(scores, data.test_y)
+
+        clean_acc, _ = scored(data.test_x)
+        attacked_acc, attacked_auc = scored(advs)
+        assert (row.attack, row.defence) == ("fgsm", "pixel_deflect")
+        assert (row.clean_accuracy, row.accuracy_under_attack, row.roc_auc) == (clean_acc, attacked_acc, attacked_auc)
+
 
 class TestRoiExtraction:
     ROI_ROSTER = (
@@ -203,27 +240,29 @@ class TestSweep:
         cfg = parse_config(p)
         records = sweep(cfg, SweepSpec(axis="decay_weight", values=(0.01, 0.1), samples=6))
         assert {r["attack"] for r in records} == {"kryptonite"}
-        records = sweep(cfg, SweepSpec(axis="overshoot", values=(0.0, 0.1), samples=6))
-        assert records == []  # no hyperplane attack configured
-
+        with pytest.raises(BadFormatError, match="overshoot axis varies only deepfool"):
+            sweep(cfg, SweepSpec(axis="overshoot", values=(0.0, 0.1), samples=6))
 
     @pytest.mark.parametrize(
-        "axis, values, match",
+        "section, spec, match",
         [
-            ("epsilon", "0.05 1.5", r"\[sweep\]: epsilon must lie in \[0, 1\], got 1.5"),
-            ("decay_weight", "0.01 nan", r"\[sweep\]: decay_weight.*must be finite"),
+            ("axis = epsilon\nvalues = 0.05 1.5", None, r"\[sweep\]: epsilon must lie in \[0, 1\], got 1.5"),
+            ("axis = decay_weight\nvalues = 0.01 nan", None, r"\[sweep\]: decay_weight.*must be finite"),
+            # The roster holds fgsm and kryptonite; only deepfool takes an overshoot.
+            ("", SweepSpec(axis="overshoot", values=(0.1,)), r"\[sweep\]: the overshoot axis varies only deepfool"),
+            ("", SweepSpec(axis="epsilon", values=(0.1,), attacks=("nope",)), r"\[sweep\]: attack 'nope' is not a configured"),
         ],
-        ids=["epsilon", "decay_weight"],
+        ids=["epsilon", "decay_weight", "no_attack_on_axis", "unknown_attack"],
     )
-    def test_bad_value_rejected_before_any_work(self, tmp_path, monkeypatch, axis, values, match):
+    def test_bad_value_rejected_before_any_work(self, tmp_path, monkeypatch, section, spec, match):
         from advlab.bench import runner
 
         monkeypatch.setattr(runner, "prepare_trial_data", lambda *a: pytest.fail("made data before checking the grid"))
         monkeypatch.setattr(runner, "train_network", lambda *a: pytest.fail("trained before checking the grid"))
         p = tmp_path / "s.ini"
-        p.write_text(TINY.split("[defence.adv_train]")[0] + f"\n[sweep]\naxis = {axis}\nvalues = {values}\n")
+        p.write_text(TINY.split("[defence.adv_train]")[0] + (f"\n[sweep]\n{section}\n" if section else ""))
         with pytest.raises(BadFormatError, match=match):
-            sweep(parse_config(p))
+            sweep(parse_config(p), spec)
 
 
 class TestTimeAttacks:
