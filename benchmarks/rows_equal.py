@@ -5,9 +5,11 @@
     python3 benchmarks/rows_equal.py diff parent.json change.json
 
 `dump` imports advlab from DIR/src, runs `run_experiment` on each of
-`perfbench/configs/{train,attack,defend}.ini` of this checkout (so both
-trees see the same configs) and writes every report row without
-`seconds_per_sample`, the one column that is a wall-clock time. Floats are written exactly (JSON floats round-trip), so
+`perfbench/configs/{train,attack,defend}.ini` and `configs/defences.ini`
+of this checkout (so both trees see the same configs; the last is the
+one whose defences inherit a `[train]` stop rule) and writes every
+report row without `seconds_per_sample`, the one column that is a
+wall-clock time. Floats are written exactly (JSON floats round-trip), so
 `diff` compares them bit for bit, NaN equal to NaN. `dump` also records
 the `repr` of the `ExperimentConfig` that `parse_config` makes of every
 file in `configs/` and `perfbench/configs/` of this checkout. `diff`
@@ -27,7 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "perfbench" / "configs"
-CONFIGS = ("train", "attack", "defend")
+RUNS = {name: CONFIG_DIR / f"{name}.ini" for name in ("train", "attack", "defend")}
+RUNS["defences"] = ROOT / "configs" / "defences.ini"
 CONFIG_FILES = sorted(ROOT.glob("configs/*.ini")) + sorted(CONFIG_DIR.glob("*.ini"))
 TIMED = "seconds_per_sample"
 
@@ -47,8 +50,8 @@ def dump(tree: Path) -> dict:
     from advlab.bench import parse_config, run_experiment
 
     rows = {}
-    for name in CONFIGS:
-        report = run_experiment(parse_config(CONFIG_DIR / f"{name}.ini"))
+    for name, path in RUNS.items():
+        report = run_experiment(parse_config(path))
         rows[name] = [{k: v for k, v in dataclasses.asdict(r).items() if k != TIMED} for r in report]
     return {"rows": rows, "configs": parsed_configs()}
 

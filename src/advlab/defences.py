@@ -15,7 +15,7 @@ import numpy as np
 
 from .attacks import AttackConfig, run_attacks
 from .errors import NonPositiveTemperatureError
-from .gradnet import TrainConfig, build, promote_to_softmax, sgd_epoch, train
+from .gradnet import TrainConfig, build, promote_to_softmax, train
 from .gradnet.network import Network
 from .imagekit import validate_image
 
@@ -62,9 +62,9 @@ def adversarial_train(
     generated against the incoming network, and with the per-epoch
     schedule they are regenerated against the evolving network at each
     later epoch, all in one batched attack call. A sample whose gradient
-    vanishes stays clean. With fraction 0 the run is bit-identical to
-    plain training under the same seed. History records the per-epoch mean
-    batch loss, as train() does.
+    vanishes stays clean. Training runs every epoch through train(), so
+    with fraction 0 the run is plain training under the same seed, and
+    history records the per-epoch mean batch loss and accuracy on the mix.
     """
     xs, ys = dataset
     xs = np.asarray(xs, dtype=float)
@@ -75,18 +75,15 @@ def adversarial_train(
     sel_rng = np.random.default_rng(cfg.seed)
     k = round(cfg.adversarial_fraction * n)
     chosen = np.sort(sel_rng.choice(n, size=k, replace=False)) if k else np.array([], dtype=int)
-
-    # The same SGD epoch and shuffle stream as train(), so the fraction-0
-    # case is plain training.
-    shuffle_rng = np.random.default_rng(cfg.train.seed)
     mixed = xs.copy()
-    history = {"loss": []}
-    for epoch in range(cfg.train.epochs):
+
+    def inputs(epoch):
         if k and (epoch == 0 or cfg.regenerate == "per_epoch"):
             source = net if epoch == 0 else fresh
             mixed[chosen] = run_attacks(cfg.attack_name, source, xs[chosen], ys[chosen], cfg.attack).adversarial
-        history["loss"].append(sgd_epoch(fresh, mixed, ys, cfg.train, shuffle_rng))
-    return fresh, history
+        return mixed
+
+    return train(fresh, (xs, ys), replace(cfg.train, stop_accuracy=None), inputs=inputs)
 
 
 def gradient_saliency(net: Network, x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .network import (
     reference_cnn_specs,
 )
 from .serialize import load_network, save_network
-from .train import TrainConfig, evaluate, sgd_epoch, train
+from .train import TrainConfig, evaluate, train
 
 __all__ = [
     "ARCHITECTURES",
@@ -41,7 +41,6 @@ __all__ = [
     "reference_cnn_specs",
     "relu",
     "save_network",
-    "sgd_epoch",
     "sigmoid",
     "softmax",
     "softmax_with_temperature",

@@ -61,8 +61,12 @@ class LayerSpec:
                 raise ValueError("conv needs out_channels >= 1")
             if self.stride != 1:
                 raise ValueError("conv is same-padded with stride 1")
-        if self.kind == "dropout" and not (0.0 <= (self.rate or 0.0) < 1.0):
+        if self.kind == "maxpool" and not all(v is not None and v >= 1 for v in (self.window, self.stride)):
+            raise ValueError("maxpool needs window >= 1 and stride >= 1")
+        if self.kind == "dropout" and (self.rate is None or not 0.0 <= self.rate < 1.0):
             raise ValueError("dropout rate must lie in [0, 1)")
+        if self.kind == "dense" and (self.width is None or self.width < 1):
+            raise ValueError("dense needs width >= 1")
         if self.kind == "softmax" and not (np.isfinite(self.temperature) and self.temperature > 0.0):
             raise NonPositiveTemperatureError(f"temperature must be finite and > 0, got {self.temperature}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,43 +30,44 @@ class TrainConfig:
             raise ValueError(f"stop_accuracy must be finite when given, got {self.stop_accuracy}")
 
 
-def train(net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
+def train(
+    net: Network, dataset: tuple[np.ndarray, np.ndarray], cfg: TrainConfig, inputs: Callable[[int], np.ndarray] | None = None
+):
     """SGD-train the network in place; returns (net, history).
 
-    Deterministic for a fixed config seed: the same shuffles, the same
-    dropout draws, the same parameters. History records per-epoch mean
-    batch loss and full-train accuracy (measured with dropout off).
+    Each epoch is one pass of mini-batch SGD over a shuffle of the rows,
+    with dropout on in the parameter gradients. When given, `inputs(epoch)`
+    returns the images to train on in that epoch, in the row order of
+    `dataset`. Deterministic for a fixed config seed: the same shuffles,
+    the same dropout draws, the same parameters. History records per-epoch
+    mean batch loss and accuracy on that epoch's images (dropout off).
     """
     xs, ys = dataset
     xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys)
     n = xs.shape[0]
     if n == 0:
         raise EmptyDatasetError("training set is empty")
 
     shuffle_rng = np.random.default_rng(cfg.seed)
     history = {"loss": [], "accuracy": []}
-    ys_arr = np.asarray(ys)
-    for _ in range(cfg.epochs):
-        history["loss"].append(sgd_epoch(net, xs, ys_arr, cfg, shuffle_rng))
-        history["accuracy"].append(evaluate(net, xs, ys_arr)[1])
+    for epoch in range(cfg.epochs):
+        if inputs is not None:
+            xs = inputs(epoch)
+        order = shuffle_rng.permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            take = order[start : start + cfg.batch_size]
+            loss, grads = net.param_gradients(xs[take], ys[take], train=True)
+            losses.append(loss)
+            for layer_params, layer_grads in zip(net.params, grads):
+                for name, g in layer_grads.items():
+                    layer_params[name] -= cfg.learning_rate * g
+        history["loss"].append(float(np.mean(losses)))
+        history["accuracy"].append(evaluate(net, xs, ys)[1])
         if cfg.stop_accuracy is not None and history["accuracy"][-1] >= cfg.stop_accuracy:
             break
     return net, history
-
-
-def sgd_epoch(net: Network, xs: np.ndarray, ys: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> float:
-    """One pass of mini-batch SGD over a shuffle drawn from rng, with
-    dropout on in the parameter gradients; returns the mean batch loss."""
-    order = rng.permutation(xs.shape[0])
-    losses = []
-    for start in range(0, xs.shape[0], cfg.batch_size):
-        take = order[start : start + cfg.batch_size]
-        loss, grads = net.param_gradients(xs[take], ys[take], train=True)
-        losses.append(loss)
-        for layer_params, layer_grads in zip(net.params, grads):
-            for name, g in layer_grads.items():
-                layer_params[name] -= cfg.learning_rate * g
-    return float(np.mean(losses))
 
 
 def evaluate(net: Network, xs: np.ndarray, ys) -> tuple[float, float]:

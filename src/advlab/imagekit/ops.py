@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DegenerateImageError, DimensionMismatchError
 
@@ -124,19 +125,6 @@ def dilate(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("mask must be a 2-D boolean array")
     if kernel.ndim != 2 or kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
         raise ValueError(f"kernel must be odd-sized, got {kernel.shape}")
-    kh, kw = kernel.shape
-    ch, cw = kh // 2, kw // 2
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    # An offset of a full side or more shifts the mask off the image; the
-    # slices below would wrap around at it, so the offsets stop short.
-    for di in range(-min(ch, h - 1), min(ch, h - 1) + 1):
-        for dj in range(-min(cw, w - 1), min(cw, w - 1) + 1):
-            if not kernel[di + ch, dj + cw]:
-                continue
-            src_r = slice(max(0, di), min(h, h + di))
-            dst_r = slice(max(0, -di), min(h, h - di))
-            src_c = slice(max(0, dj), min(w, w + dj))
-            dst_c = slice(max(0, -dj), min(w, w - dj))
-            out[dst_r, dst_c] |= mask[src_r, src_c]
-    return out
+    ch, cw = kernel.shape[0] // 2, kernel.shape[1] // 2
+    padded = np.pad(mask, ((ch, ch), (cw, cw)))
+    return sliding_window_view(padded, kernel.shape)[:, :, kernel.astype(bool)].any(-1)

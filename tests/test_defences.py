@@ -57,7 +57,7 @@ class TestAdversarialTrain:
         for pa, pb in zip(hardened.params, plain.params):
             for name in pa:
                 assert np.array_equal(pa[name], pb[name])
-        assert history["loss"] == plain_history["loss"]
+        assert history == plain_history
 
     def test_fgsm_training_raises_robust_accuracy(self):
         xs, ys = noisy_margin_set(n=80, seed=3)
@@ -105,6 +105,16 @@ class TestAdversarialTrain:
             for name in pa:
                 assert np.array_equal(pa[name], pb[name])
 
+    def test_inherited_stop_rule_is_ignored(self):
+        # A [train] stop rule reaches each defence's TrainConfig; adversarial
+        # training still runs every epoch, even when the first one meets it.
+        xs, ys = toy_set(n=30, seed=6)
+        net = trained_toy_net(xs, ys, seed=6, epochs=8)
+        tcfg = TrainConfig(epochs=5, batch_size=8, learning_rate=0.3, seed=6, stop_accuracy=0.0)
+        cfg = DefenceConfig(kind="adv_train", adversarial_fraction=0.5, train=tcfg)
+        _, history = adversarial_train(net, (xs, ys), cfg)
+        assert len(history["loss"]) == len(history["accuracy"]) == tcfg.epochs
+
 
     def test_zero_gradient_row_stays_clean(self, monkeypatch, zero_gradient_at):
         import advlab.defences as defences
@@ -115,14 +125,17 @@ class TestAdversarialTrain:
         train(net, (xs, ys), tcfg)
         flat = 7
         mixes = []
-        real_epoch = defences.sgd_epoch
+        real_train = defences.train
 
-        def recording(model, mixed, labels, cfg, rng):
-            mixes.append(mixed.copy())
-            return real_epoch(model, mixed, labels, cfg, rng)
+        def recording(model, dataset, cfg, inputs):
+            def recorded(epoch):
+                mixes.append(inputs(epoch).copy())
+                return mixes[-1]
+
+            return real_train(model, dataset, cfg, inputs=recorded)
 
         zero_gradient_at(xs[flat])
-        monkeypatch.setattr(defences, "sgd_epoch", recording)
+        monkeypatch.setattr(defences, "train", recording)
         cfg = DefenceConfig(
             kind="adv_train",
             adversarial_fraction=1.0,

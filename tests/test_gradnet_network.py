@@ -79,6 +79,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="stride 1"):
             LayerSpec("conv", out_channels=2, kernel_size=3, stride=2)
 
+    def test_dropout_without_rate_rejected_at_construction(self):
+        # Without a rate the spec would build and fail at the first
+        # training step instead.
+        with pytest.raises(ValueError, match="dropout rate"):
+            LayerSpec("dropout")
+
     def test_deterministic_init(self):
         a = build([flatten(), dense(3), relu(), dense(1), sigmoid()], (2, 2, 1), seed=9)
         b = build([flatten(), dense(3), relu(), dense(1), sigmoid()], (2, 2, 1), seed=9)

@@ -91,6 +91,9 @@ MALFORMED = {
     # Same element count as the conv's (3, 3, 1, 4) weights, so the blobs
     # still line up and only the shape is wrong.
     "parameter_shape_mismatch": edited(lambda h: h["params"][1].update(shape=[36])),
+    "zero_width_dense": edited(lambda h: h["specs"][4].update(width=0)),
+    # As maxpool(0) would write it: a zero window and stride.
+    "zero_pool_window": edited(lambda h: h["specs"][2].update(window=0, stride=0)),
 }
 
 

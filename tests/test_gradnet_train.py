@@ -12,7 +12,6 @@ from advlab.gradnet import (
     evaluate,
     flatten,
     relu,
-    sgd_epoch,
     sigmoid,
     softmax,
     train,
@@ -103,7 +102,7 @@ class TestTrain:
         net = build([flatten(), dense(8), relu(), dropout(0.5), dense(1), sigmoid()], (1, 2, 1), seed=0)
         xs, _ = two_pixel_set(n=16)
         with pytest.raises(InvalidLabelError):
-            sgd_epoch(net, xs, np.full(16, 2), TrainConfig(batch_size=8), np.random.default_rng(0))
+            train(net, (xs, np.full(16, 2)), TrainConfig(epochs=1, batch_size=8))
         assert np.array_equal(net.forward(xs), net.forward(xs))
         ys = np.ones(16, dtype=int)
         assert net.loss(xs, ys) == net.loss(xs, ys)
