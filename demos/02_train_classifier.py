@@ -17,6 +17,7 @@ from advlab.gradnet import (
     save_network,
     train,
 )
+from advlab.gradnet.layers import KERNEL
 
 # The wide reference stack: count parameters by shape propagation alone.
 specs, shape = reference_cnn_specs(input_hw=126, scale=1.0)
@@ -24,7 +25,7 @@ shapes = propagate_shapes(specs, shape)
 total = 0
 for spec, in_shape in zip(specs, shapes[:-1]):
     if spec.kind == "conv":
-        total += spec.kernel_size**2 * in_shape[2] * spec.out_channels + spec.out_channels
+        total += KERNEL**2 * in_shape[2] * spec.out_channels + spec.out_channels
     elif spec.kind == "dense":
         total += in_shape[0] * spec.width + spec.width
 print(f"reference descriptor on 126x126x1: {total:,} parameters")

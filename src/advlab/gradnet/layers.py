@@ -7,8 +7,10 @@ strided view below runs along image rows of length W; `flatten`
 emits the (H, W, C) row order the dense weights expect. Activations are
 (N, D) after flattening. The batch is axis 0 of every kernel argument.
 
-Every convolution is same-padded with stride 1, so its output keeps the
-input's H and W. It uses an im2col matmul. Its patch matrix `cols` is
+The layer geometry is fixed (the VGG layout): every conv is 3x3 and
+same-padded with stride 1, so its output keeps the input's H and W, and
+every max-pool is 2x2 with stride 2, so it halves them, flooring an odd
+side. A conv uses an im2col matmul. Its patch matrix `cols` is
 (kh*kw*C, N*H*W), filled by one row-slice copy per kernel offset, with
 rows in (a, b, c) order so that `w.reshape(K, F)` (w is (kh, kw, C, F))
 multiplies it directly. `cols` is the whole cache, so the backward pass
@@ -18,8 +20,8 @@ training needs no input gradient from the first layer, and an input
 gradient needs no dW/db. Both conv kernels and both pooling kernels walk
 the kernel or window offsets through one helper, `_window_views`.
 
-Max-pooling works on the window*window strided views of its input, one
-per window offset in raster order. The forward takes their running max
+Max-pooling works on the four 2x2 strided views of its input, one per
+window offset in raster order. The forward takes their running max
 and records, per output, the first offset that holds the max, which is
 the element `argmax` over the window would pick (ties are common: ReLU
 leaves all-zero windows). The backward adds each offset's share of dy
@@ -38,15 +40,14 @@ import numpy as np
 from ..errors import NonPositiveTemperatureError
 
 KINDS = ("conv", "relu", "maxpool", "dropout", "flatten", "dense", "sigmoid", "softmax")
+KERNEL = 3  # side of every conv kernel
+POOL = 2  # side and stride of every max-pool window
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str
     out_channels: int | None = None
-    kernel_size: int | None = None
-    stride: int = 1
-    window: int | None = None
     rate: float | None = None
     width: int | None = None
     temperature: float = 1.0
@@ -54,15 +55,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv":
-            if self.kernel_size is None or self.kernel_size % 2 == 0:
-                raise ValueError("conv kernel size must be odd")
-            if self.out_channels is None or self.out_channels < 1:
-                raise ValueError("conv needs out_channels >= 1")
-            if self.stride != 1:
-                raise ValueError("conv is same-padded with stride 1")
-        if self.kind == "maxpool" and not all(v is not None and v >= 1 for v in (self.window, self.stride)):
-            raise ValueError("maxpool needs window >= 1 and stride >= 1")
+        if self.kind == "conv" and (self.out_channels is None or self.out_channels < 1):
+            raise ValueError("conv needs out_channels >= 1")
         if self.kind == "dropout" and (self.rate is None or not 0.0 <= self.rate < 1.0):
             raise ValueError("dropout rate must lie in [0, 1)")
         if self.kind == "dense" and (self.width is None or self.width < 1):
@@ -71,16 +65,16 @@ class LayerSpec:
             raise NonPositiveTemperatureError(f"temperature must be finite and > 0, got {self.temperature}")
 
 
-def conv(out_channels: int, kernel_size: int = 3) -> LayerSpec:
-    return LayerSpec("conv", out_channels=out_channels, kernel_size=kernel_size)
+def conv(out_channels: int) -> LayerSpec:
+    return LayerSpec("conv", out_channels=out_channels)
 
 
 def relu() -> LayerSpec:
     return LayerSpec("relu")
 
 
-def maxpool(window: int = 2, stride: int | None = None) -> LayerSpec:
-    return LayerSpec("maxpool", window=window, stride=stride if stride is not None else window)
+def maxpool() -> LayerSpec:
+    return LayerSpec("maxpool")
 
 
 def dropout(rate: float) -> LayerSpec:
@@ -154,18 +148,17 @@ def _window_views(a, window, stride, oh, ow):
     ]
 
 
-def maxpool_forward(x, window, stride, keep=True):
+def maxpool_forward(x, keep=True):
     """(y, cache) of a max-pool layer; without keep the cache is None."""
     h, w = x.shape[2:]
-    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
-    views = _window_views(x, window, stride, oh, ow)
+    views = _window_views(x, POOL, POOL, h // POOL, w // POOL)
     y = views[0].copy()
     for view in views[1:]:
         np.maximum(y, view, out=y)
     if not keep:
         return y, None
     # idx counts the offsets before the first one that holds the max.
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(len(views) - 1))
+    idx = np.zeros(y.shape, dtype=np.uint8)
     found = np.zeros(y.shape, dtype=bool)
     for view in views[:-1]:
         found |= view == y
@@ -173,11 +166,11 @@ def maxpool_forward(x, window, stride, keep=True):
     return y, (idx, x.shape)
 
 
-def maxpool_backward(dy, cache, window, stride):
+def maxpool_backward(dy, cache):
     idx, x_shape = cache
     dx = np.zeros(x_shape)
     oh, ow = idx.shape[2:]
-    for k, view in enumerate(_window_views(dx, window, stride, oh, ow)):
+    for k, view in enumerate(_window_views(dx, POOL, POOL, oh, ow)):
         view += dy * (idx == k)
     return dx
 

@@ -20,6 +20,8 @@ from ..errors import (
     ShapeMismatchError,
 )
 from .layers import (
+    KERNEL,
+    POOL,
     LayerSpec,
     conv,
     conv_backward,
@@ -62,9 +64,9 @@ def propagate_shapes(specs: list[LayerSpec], input_shape: tuple) -> list[tuple]:
             if len(shape) != 3:
                 raise ShapeMismatchError(f"layer {i}: maxpool needs (H, W, C) input", i)
             h, w, c = shape
-            if h < spec.window or w < spec.window:
-                raise ShapeMismatchError(f"layer {i}: window {spec.window} exceeds input {shape}", i)
-            shape = ((h - spec.window) // spec.stride + 1, (w - spec.window) // spec.stride + 1, c)
+            if h < POOL or w < POOL:
+                raise ShapeMismatchError(f"layer {i}: {POOL}x{POOL} window exceeds input {shape}", i)
+            shape = (h // POOL, w // POOL, c)
         elif k == "flatten":
             if len(shape) != 3:
                 raise ShapeMismatchError(f"layer {i}: flatten needs (H, W, C) input", i)
@@ -154,7 +156,7 @@ class Network:
         if k == "relu":
             return np.maximum(act, 0.0), (act > 0 if keep else None)
         if k == "maxpool":
-            return maxpool_forward(act, spec.window, spec.stride, keep=keep)
+            return maxpool_forward(act, keep=keep)
         if k == "dropout":
             return dropout_forward(act, spec.rate, self.rng, train)
         if k == "flatten":
@@ -261,7 +263,7 @@ class Network:
             elif k == "relu":
                 dact = dact * cache
             elif k == "maxpool":
-                dact = maxpool_backward(dact, cache, spec.window, spec.stride)
+                dact = maxpool_backward(dact, cache)
             elif k == "dropout":
                 dact = dropout_backward(dact, cache)
             elif k == "flatten":
@@ -323,7 +325,7 @@ def build(specs: list[LayerSpec], input_shape: tuple, seed: int = 0) -> Network:
     """Instantiate a network: validate shapes, init parameters uniform
     in +-1/sqrt(fan_in), deterministic per seed.
 
-    Conv weights are (kh, kh, cin, f) and dense weights (fan_in, width),
+    Conv weights are (3, 3, cin, f) and dense weights (fan_in, width),
     so fan_in is the product of every weight axis but the last. Each
     layer draws w, then b."""
     shapes = propagate_shapes(specs, tuple(input_shape))
@@ -331,7 +333,7 @@ def build(specs: list[LayerSpec], input_shape: tuple, seed: int = 0) -> Network:
     params: list[dict] = []
     for spec, in_shape in zip(specs, shapes[:-1]):
         if spec.kind == "conv":
-            w_shape = (spec.kernel_size, spec.kernel_size, in_shape[2], spec.out_channels)
+            w_shape = (KERNEL, KERNEL, in_shape[2], spec.out_channels)
         elif spec.kind == "dense":
             w_shape = (in_shape[0], spec.width)
         else:
@@ -352,12 +354,12 @@ def blob_cnn_specs(input_hw: int = 32, scale: float = 1.0) -> tuple[list[LayerSp
     """Two-conv grayscale CNN sized for the synthetic blob images."""
     s = _width_scaler(scale)
     specs = [
-        conv(s(8), 3),
+        conv(s(8)),
         relu(),
-        maxpool(2, 2),
-        conv(s(16), 3),
+        maxpool(),
+        conv(s(16)),
         relu(),
-        maxpool(2, 2),
+        maxpool(),
         flatten(),
         dense(s(64)),
         relu(),
@@ -375,15 +377,15 @@ def reference_cnn_specs(input_hw: int = 126, scale: float = 1.0) -> tuple[list[L
     """
     s = _width_scaler(scale)
     specs = [
-        conv(s(50), 3),
+        conv(s(50)),
         relu(),
-        conv(s(75), 3),
+        conv(s(75)),
         relu(),
-        maxpool(2, 2),
+        maxpool(),
         dropout(0.25),
-        conv(s(125), 3),
+        conv(s(125)),
         relu(),
-        maxpool(2, 2),
+        maxpool(),
         dropout(0.25),
         flatten(),
         dense(s(500)),

@@ -78,4 +78,6 @@ def load_network(path: str | Path) -> Network:
             raise BadFormatError(f"{path}: truncated parameter blob")
         net.params[i][name] = np.frombuffer(blob, dtype="<f4").reshape(shape).astype(float)
         off += 4 * count
+    if off != len(raw):
+        raise BadFormatError(f"{path}: {len(raw) - off} bytes after the last parameter blob")
     return net

@@ -235,9 +235,9 @@ def _fd_check(net, x, y, rng, n_input=64, n_param=64):
 def test_criterion_3_gradient_checks():
     t0 = time.perf_counter()
     stacks = {
-        "conv": ([conv(4, 3), relu(), flatten(), dense(1), sigmoid()], (6, 6, 1)),
+        "conv": ([conv(4), relu(), flatten(), dense(1), sigmoid()], (6, 6, 1)),
         "relu": ([flatten(), dense(8), relu(), dense(1), sigmoid()], (3, 3, 1)),
-        "maxpool": ([maxpool(2, 2), flatten(), dense(1), sigmoid()], (6, 6, 2)),
+        "maxpool": ([maxpool(), flatten(), dense(1), sigmoid()], (6, 6, 2)),
         "dropout": ([flatten(), dropout(0.4), dense(1), sigmoid()], (4, 4, 1)),
         "flatten_dense": ([flatten(), dense(5), dense(1), sigmoid()], (3, 3, 1)),
         "softmax": ([flatten(), dense(3), softmax(temperature=4.0)], (3, 3, 1)),
@@ -283,7 +283,7 @@ def test_criterion_4_parameter_count():
 
 def _toy_nets():
     logistic = build([flatten(), dense(1), sigmoid()], (2, 2, 1), seed=5)
-    convnet = build([conv(3, 3), relu(), flatten(), dense(1), sigmoid()], (4, 4, 1), seed=6)
+    convnet = build([conv(3), relu(), flatten(), dense(1), sigmoid()], (4, 4, 1), seed=6)
     return [logistic, convnet]
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from advlab.attacks import ATTACK_NAMES
 from advlab.bench import ReportRow
+from advlab.gradnet import load_network
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -32,6 +33,14 @@ def test_roi_extraction_demo(tmp_path):
     out = run_demo("01_roi_extraction.py", tmp_path, timeout=120)
     assert "final mask:" in out
     assert (tmp_path / "demo_out" / "roi_mask.pgm").exists()
+
+
+def test_train_classifier_demo(tmp_path):
+    # No accuracy is asserted: this model's training plateaus.
+    lines = run_demo("02_train_classifier.py", tmp_path, timeout=300).splitlines()
+    assert "reference descriptor on 126x126x1: 60,307,326 parameters" in lines
+    net = load_network(tmp_path / "demo_out" / "blob_cnn.net")
+    assert f"blob_cnn: {net.parameter_count:,} parameters" in lines
 
 
 def test_attack_tour_demo(tmp_path):

@@ -75,9 +75,9 @@ def check_param_gradients(net, x, y, rng, n_coords=64):
 
 
 STACKS = {
-    "conv_same": ([conv(4, 3), relu(), flatten(), dense(1), sigmoid()], (6, 6, 1)),
+    "conv_same": ([conv(4), relu(), flatten(), dense(1), sigmoid()], (6, 6, 1)),
     "relu": ([flatten(), dense(6), relu(), dense(1), sigmoid()], (3, 3, 1)),
-    "maxpool": ([maxpool(2, 2), flatten(), dense(1), sigmoid()], (6, 6, 2)),
+    "maxpool": ([maxpool(), flatten(), dense(1), sigmoid()], (6, 6, 2)),
     "dropout_eval": ([flatten(), dropout(0.5), dense(1), sigmoid()], (4, 4, 1)),
     "dense": ([flatten(), dense(5), dense(1), sigmoid()], (2, 2, 1)),
     "sigmoid_head": ([flatten(), dense(1), sigmoid()], (3, 3, 1)),
@@ -101,7 +101,7 @@ def test_layer_kind_gradients(name):
 
 
 def test_batch_gradients_match_finite_differences():
-    net = build([conv(3, 3), relu(), maxpool(2, 2), flatten(), dense(2), softmax()], (6, 6, 1), seed=99)
+    net = build([conv(3), relu(), maxpool(), flatten(), dense(2), softmax()], (6, 6, 1), seed=99)
     rng = np.random.default_rng(100)
     xs = rng.random((4, 6, 6, 1))
     ys = np.array([0, 1, 1, 0])

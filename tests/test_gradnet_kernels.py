@@ -107,57 +107,31 @@ class TestMaxpoolAgainstOracle:
     def test_bit_identical_non_overlapping(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[2])
         x = relu_activations(rng, shape, zero_windows=2 * shape[0])
-        y, cache = maxpool_forward(x, 2, 2)
+        y, cache = maxpool_forward(x)
         y_ref, idx_ref = oracle_maxpool_forward(x, 2, 2)
         assert y.shape == y_ref.shape
         assert np.array_equal(y, y_ref)
         assert np.array_equal(cache[0], idx_ref)
         dy = rng.standard_normal(y.shape)
-        dx = maxpool_backward(dy, cache, 2, 2)
+        dx = maxpool_backward(dy, cache)
         dx_ref = oracle_maxpool_backward(dy, idx_ref, x.shape, 2, 2)
         assert np.array_equal(dx, dx_ref)
         assert not np.signbit(dx[dx == 0.0]).any()
 
     def test_all_zero_input_routes_to_first_offset(self):
         x = np.zeros((2, 3, 4, 4))
-        y, cache = maxpool_forward(x, 2, 2)
+        y, cache = maxpool_forward(x)
         assert (y == 0.0).all() and (cache[0] == 0).all()
-        dx = maxpool_backward(np.ones(y.shape), cache, 2, 2)
+        dx = maxpool_backward(np.ones(y.shape), cache)
         assert np.array_equal(dx, oracle_maxpool_backward(np.ones(y.shape), cache[0], x.shape, 2, 2))
         assert dx[:, :, ::2, ::2].sum() == dx.sum() == y.size
 
     def test_floor_crop_gets_no_gradient(self):
         x = relu_activations(np.random.default_rng(3), (1, 1, 7, 7))
-        y, cache = maxpool_forward(x, 2, 2)
+        y, cache = maxpool_forward(x)
         assert y.shape == (1, 1, 3, 3)
-        dx = maxpool_backward(np.ones(y.shape), cache, 2, 2)
+        dx = maxpool_backward(np.ones(y.shape), cache)
         assert (dx[:, :, 6, :] == 0.0).all() and (dx[:, :, :, 6] == 0.0).all()
-
-    @pytest.mark.parametrize("n", [1, 16])
-    def test_overlapping_windows(self, n):
-        rng = np.random.default_rng(40 + n)
-        x = relu_activations(rng, (n, 3, 11, 10), zero_windows=n)
-        y, cache = maxpool_forward(x, 3, 2)
-        y_ref, idx_ref = oracle_maxpool_forward(x, 3, 2)
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(cache[0], idx_ref)
-        dy = rng.standard_normal(y.shape)
-        dx = maxpool_backward(dy, cache, 3, 2)
-        # An input shared by two windows sums in another order.
-        np.testing.assert_allclose(dx, oracle_maxpool_backward(dy, idx_ref, x.shape, 3, 2), rtol=0, atol=1e-12)
-
-    def test_window_index_beyond_one_byte(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 2, 20, 19))
-        y, cache = maxpool_forward(x, 17, 1)
-        y_ref, idx_ref = oracle_maxpool_forward(x, 17, 1)
-        assert y.shape == (2, 2, 4, 3)
-        assert (idx_ref > 255).any() and cache[0].dtype == np.uint16
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(cache[0], idx_ref)
-        dy = rng.standard_normal(y.shape)
-        dx = maxpool_backward(dy, cache, 17, 1)
-        np.testing.assert_allclose(dx, oracle_maxpool_backward(dy, idx_ref, x.shape, 17, 1), rtol=0, atol=1e-12)
 
 
 def test_dropout_mask_follows_channels_last_draw_order():
@@ -170,7 +144,7 @@ def test_dropout_mask_follows_channels_last_draw_order():
 
 
 def small_cnn(seed=0):
-    specs = [conv(4, 3), relu(), maxpool(2, 2), conv(6, 3), relu(), maxpool(2, 2), flatten(), dense(8), relu(), dense(1), sigmoid()]
+    specs = [conv(4), relu(), maxpool(), conv(6), relu(), maxpool(), flatten(), dense(8), relu(), dense(1), sigmoid()]
     return build(specs, (11, 11, 1), seed=seed)
 
 
@@ -188,7 +162,7 @@ def full_backprop(net, xs, ys, rows):
         elif spec.kind == "relu":
             dact = dact * cache
         elif spec.kind == "maxpool":
-            dact = maxpool_backward(dact, cache, spec.window, spec.stride)
+            dact = maxpool_backward(dact, cache)
         elif spec.kind == "flatten":
             n, c, h, w = cache
             dact = dact.reshape(n, h, w, c).transpose(0, 3, 1, 2)
@@ -261,9 +235,9 @@ class TestInferenceForward:
     def test_only_backward_passes_ask_for_the_pooling_index(self, monkeypatch):
         calls = []
 
-        def spy(x, window, stride, keep=True):
+        def spy(x, keep=True):
             calls.append(keep)
-            return maxpool_forward(x, window, stride, keep=keep)
+            return maxpool_forward(x, keep=keep)
 
         monkeypatch.setattr(network, "maxpool_forward", spy)
         net = small_cnn()

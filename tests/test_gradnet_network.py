@@ -19,6 +19,7 @@ from advlab.gradnet import (
     conv,
     dense,
     flatten,
+    maxpool,
     promote_to_softmax,
     reference_cnn_specs,
     relu,
@@ -44,7 +45,7 @@ class TestBuild:
         assert net.parameter_count == 5  # 4 weights + 1 bias
 
     def test_conv_param_count(self):
-        net = build([conv(8, 3), relu(), flatten(), dense(1), sigmoid()], (4, 4, 1), seed=0)
+        net = build([conv(8), relu(), flatten(), dense(1), sigmoid()], (4, 4, 1), seed=0)
         conv_params = net.params[0]
         assert conv_params["w"].size + conv_params["b"].size == 80  # 8*(3*3*1)+8
 
@@ -73,11 +74,11 @@ class TestBuild:
         with pytest.raises(ShapeMismatchError):
             build([flatten(), dense(4)], (2, 2, 1), seed=0)
 
-    def test_strided_conv_rejected_at_construction(self):
-        # Serialized specs arrive from outside; every conv is same-padded
-        # with stride 1, so a strided one must fail before any build.
-        with pytest.raises(ValueError, match="stride 1"):
-            LayerSpec("conv", out_channels=2, kernel_size=3, stride=2)
+    def test_pool_window_wider_than_input_names_layer(self):
+        # A 2x2 window does not fit a one-row input.
+        with pytest.raises(ShapeMismatchError) as exc:
+            build([maxpool(), flatten(), dense(1), sigmoid()], (1, 4, 1), seed=0)
+        assert exc.value.layer_index == 0
 
     def test_dropout_without_rate_rejected_at_construction(self):
         # Without a rate the spec would build and fail at the first
@@ -182,7 +183,7 @@ class TestInputGradient:
         assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_finite_differences(self):
-        net = build([conv(3, 3), relu(), flatten(), dense(1), sigmoid()], (5, 5, 1), seed=7)
+        net = build([conv(3), relu(), flatten(), dense(1), sigmoid()], (5, 5, 1), seed=7)
         rng = np.random.default_rng(8)
         x = rng.random((5, 5, 1))
         g = net.input_gradient(x, 1)

@@ -21,7 +21,7 @@ from advlab.gradnet import (
 
 def small_net(seed=0):
     return build(
-        [conv(4, 3), relu(), maxpool(2, 2), flatten(), dense(5), relu(), dense(1), sigmoid()],
+        [conv(4), relu(), maxpool(), flatten(), dense(5), relu(), dense(1), sigmoid()],
         (6, 6, 1),
         seed=seed,
     )
@@ -56,6 +56,14 @@ class TestSerialize:
         assert sidecar["parameter_count"] == net.parameter_count
         assert sidecar["layers"][0] == "conv"
         assert sidecar["activation_shapes"][0] == [6, 6, 1]
+
+    @pytest.mark.parametrize("extra", [8, 4008])
+    def test_rejects_trailing_bytes(self, tmp_path, extra):
+        path = tmp_path / "net.bin"
+        save_network(small_net(), path)
+        path.write_bytes(path.read_bytes() + bytes(extra))
+        with pytest.raises(BadFormatError, match="net.bin"):
+            load_network(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -92,8 +100,9 @@ MALFORMED = {
     # still line up and only the shape is wrong.
     "parameter_shape_mismatch": edited(lambda h: h["params"][1].update(shape=[36])),
     "zero_width_dense": edited(lambda h: h["specs"][4].update(width=0)),
-    # As maxpool(0) would write it: a zero window and stride.
-    "zero_pool_window": edited(lambda h: h["specs"][2].update(window=0, stride=0)),
+    # Containers written while layers carried their geometry: the conv
+    # spec as conv(4, 3) wrote it.
+    "geometry_spec_fields": edited(lambda h: h["specs"][0].update(kernel_size=3, stride=1, window=None)),
 }
 
 
