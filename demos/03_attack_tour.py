@@ -37,7 +37,7 @@ for name, cfg in configs.items():
     for i in range(1200, 1260):
         x, y = images[i], int(labels[i])
         res = run_attack(name, net, x, y, cfg)
-        flips += int(int(net.predict(res.adversarial)) != y)
+        flips += int(net.predict(res.adversarial[None])[0] != y)
         linfs.append(res.linf)
         perts.append(res.l2_percent)
         times.append(res.elapsed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..attacks import ROI_ATTACKS, AttackConfig, extract_roi_or_full, run_attack, run_attacks
+from ..attacks import ROI_ATTACKS, AttackResult, extract_roi_or_full, run_attack, run_attacks
 from ..errors import BadFormatError, ZeroGradientError
 from ..defences import adversarial_train, distill, gradient_saliency, pixel_deflect
 from ..gradnet import ARCHITECTURES, build, train
@@ -69,10 +69,9 @@ def clean_rois(roster: dict, xs) -> np.ndarray | None:
     return np.stack([extract_roi_or_full(x) for x in xs])
 
 
-def _attack_stats(source, target, kind: str, acfg: AttackConfig, xs, ys, rois) -> dict:
-    """Attack `source` on every sample in one batched call and score the
-    adversarials on `target`. The keys are ReportRow fields."""
-    res = run_attacks(kind, source, xs, ys, acfg, rois=rois)
+def _attack_stats(target, res: AttackResult, ys) -> dict:
+    """Score the adversarials of one batched attack on `target`. The keys
+    are ReportRow fields."""
     acc, auc = _clean_stats(target, res.adversarial, ys)
     kept = res.l2_percent[~np.isnan(res.l2_percent)]
     return {
@@ -132,12 +131,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReportRow]:
         xs, ys = data.test_x, data.test_y
         net = train_network(cfg, data, trial)
         rois = clean_rois(cfg.attacks, xs)
+        # Each attack runs once on the undefended net; every model whose source
+        # is that net scores the run. Runs are kept only when defences follow:
+        # keeping all six raised a defence-free 150-image run's peak memory 12%.
+        bare = {}
         for dname, source, target in _attacked_models(cfg, data, net, trial):
             clean_acc, clean_auc = _clean_stats(target, xs, ys)
             if dname is None:
                 rows.append(ReportRow(row="clean", network=net_id, trial=trial, clean_accuracy=clean_acc, roc_auc=clean_auc))
             for aname, (kind, acfg) in cfg.attacks.items():
-                stats = _attack_stats(source, target, kind, replace(acfg, seed=acfg.seed + trial), xs, ys, rois)
+                res = bare.get(aname) if source is net else None
+                if res is None:
+                    res = run_attacks(kind, source, xs, ys, replace(acfg, seed=acfg.seed + trial), rois=rois)
+                    if source is net and cfg.defences:
+                        bare[aname] = res
+                stats = _attack_stats(target, res, ys)
                 if dname is not None:  # defence rows report accuracy and AUC only
                     stats = {k: stats[k] for k in ("accuracy_under_attack", "roc_auc")}
                 rows.append(
@@ -206,7 +214,7 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec | None = None) -> list[dict]:
     rois = clean_rois(roster, xs)
     records = []
     for name, kind, value, acfg in grid:
-        stats = _attack_stats(net, net, kind, acfg, xs, ys, rois)
+        stats = _attack_stats(net, run_attacks(kind, net, xs, ys, acfg, rois=rois), ys)
         records.append({"attack": name, "axis": spec.axis, "value": value, "roc_auc": stats["roc_auc"]})
     return records
 

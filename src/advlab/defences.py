@@ -87,9 +87,9 @@ def adversarial_train(
 
 
 def gradient_saliency(net: Network, x: np.ndarray) -> np.ndarray:
-    """|input gradient| at the predicted label, collapsed over channels
-    and scaled to [0, 1]; a defence sees no true labels."""
-    g = np.abs(net.input_gradient(x, int(net.predict(x)))).sum(axis=2)
+    """|input gradient| of one image at its predicted label, collapsed
+    over channels and scaled to [0, 1]; a defence sees no true labels."""
+    g = np.abs(net.input_gradient(x[None], net.predict(x[None]))[0]).sum(axis=2)
     peak = g.max()
     return g / peak if peak > 0 else g
 

@@ -170,8 +170,10 @@ def maxpool_backward(dy, cache):
     idx, x_shape = cache
     dx = np.zeros(x_shape)
     oh, ow = idx.shape[2:]
+    # One offset writes each element; += 0.0 turns -0.0 (negative dy, off the max) into +0.0.
     for k, view in enumerate(_window_views(dx, POOL, POOL, oh, ow)):
-        view += dy * (idx == k)
+        np.multiply(dy, idx == k, out=view)
+    dx += 0.0
     return dx
 
 

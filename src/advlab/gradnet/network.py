@@ -2,10 +2,11 @@
 
 The last layer must be a sigmoid or softmax head. Losses fuse the head
 with binary/categorical cross-entropy so the backward pass starts from the
-analytic logit gradient. Dropout is on only in
-`param_gradients(..., train=True)`, the SGD step. Every other method runs
-with dropout off, the regime attacks operate in, and every inference
-method runs through `forward` or `logits`.
+analytic logit gradient. Every method takes a batch (N, *input_shape)
+and returns one row per image; one image is a batch of one. Dropout is
+on only in `param_gradients(..., train=True)`, the SGD step. Every other
+method runs with dropout off, the regime attacks operate in, and every
+inference method runs through `forward` or `logits`.
 """
 
 from __future__ import annotations
@@ -113,15 +114,12 @@ class Network:
 
     # --- inference -----------------------------------------------------
 
-    def _as_batch(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _as_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape == self.input_shape:
-            return x[None], True
-        if x.shape[1:] == self.input_shape:
-            return x, False
-        raise ShapeMismatchError(
-            f"input shape {x.shape} does not match network input {self.input_shape}"
-        )
+        if x.shape[1:] != self.input_shape:
+            expected = ", ".join(["N", *map(str, self.input_shape)])
+            raise ShapeMismatchError(f"input shape {x.shape} is not a batch ({expected})")
+        return x
 
     def _run(self, xb: np.ndarray, train: bool, keep: bool):
         """Forward pass; returns (head output, logits, caches).
@@ -167,30 +165,23 @@ class Network:
         raise AssertionError(f"unexpected mid-stack layer {k}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Head probabilities: scalar in (0,1) for sigmoid, vector for softmax."""
-        xb, single = self._as_batch(x)
-        out, _ = self._infer(xb)
-        if self.head.kind == "sigmoid":
-            out = out[:, 0]
-        return out[0] if single else out
+        """Head probabilities: (N,) in (0,1) for sigmoid, (N, K) for softmax."""
+        out, _ = self._infer(self._as_batch(x))
+        return out[:, 0] if self.head.kind == "sigmoid" else out
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Pre-head activations (temperature not applied)."""
-        xb, single = self._as_batch(x)
-        _, z = self._infer(xb)
-        return z[0] if single else z
+        return self._infer(self._as_batch(x))[1]
 
     def predict(self, x: np.ndarray):
         """Hard labels: sigmoid thresholds at 0.5, softmax takes the argmax."""
         return self._labels(self.forward(x))
 
     def _labels(self, p) -> np.ndarray:
-        if self.head.kind == "sigmoid":
-            return (np.asarray(p) > 0.5).astype(int)
-        return np.asarray(p).argmax(axis=-1)
+        return (p > 0.5).astype(int) if self.head.kind == "sigmoid" else p.argmax(axis=1)
 
     def _scores(self, p):
-        return p if self.head.kind == "sigmoid" else p[..., 1]
+        return p if self.head.kind == "sigmoid" else p[:, 1]
 
     def predict_and_score(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """predict(x) and the positive-class score, for ranking metrics,
@@ -232,12 +223,12 @@ class Network:
         return float(per.mean())
 
     def loss(self, x: np.ndarray, y) -> float:
-        """Cross-entropy of the head against y (mean over a batch)."""
+        """Cross-entropy of the head against y, mean over the batch."""
         return self.loss_and_predict(x, y)[0]
 
     def loss_and_predict(self, x: np.ndarray, y) -> tuple[float, np.ndarray]:
         """loss(x, y) and the hard labels of a batch from one forward pass."""
-        xb, _ = self._as_batch(x)
+        xb = self._as_batch(x)
         targets = self._targets(y, xb.shape[0])
         probs = self.forward(xb)
         return self._loss_from_probs(probs, targets), self._labels(probs)
@@ -300,22 +291,19 @@ class Network:
         For a binary margin pass dz = [1] (sigmoid head) or [-1, 1]
         (2-logit softmax head).
         """
-        xb, single = self._as_batch(x)
+        xb = self._as_batch(x)
         _, z, caches = self._run(xb, train=False, keep=True)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), (xb.shape[0], self.shapes[-1][0]))
-        dx = self._backprop_layers(caches, dz, need_params=False)
-        return (z[0], dx[0]) if single else (z, dx)
+        return z, self._backprop_layers(caches, dz, need_params=False)
 
     def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
         """Exact gradient of the loss w.r.t. every input pixel (dropout off)."""
-        xb, single = self._as_batch(x)
-        _, dx = self._backward(xb, y, train=False, need_params=False)
-        return dx[0] if single else dx
+        return self._backward(self._as_batch(x), y, train=False, need_params=False)[1]
 
     def param_gradients(self, xs: np.ndarray, ys, train: bool = False) -> tuple[float, list[dict]]:
         """Loss and parameter gradients averaged over the batch; with
         train, dropout draws its masks from the network's rng."""
-        xs, _ = self._as_batch(xs)
+        xs = self._as_batch(xs)
         if xs.shape[0] == 0:
             raise EmptyBatchError("gradient of an empty batch")
         return self._backward(xs, ys, train=train, need_params=True)

@@ -16,9 +16,8 @@ def zero_gradient_at(monkeypatch):
 
         def patched(self, x, y):
             g = real(self, x, y)
-            xb = np.asarray(x).reshape((-1,) + row.shape)
-            hit = (xb == row).reshape(xb.shape[0], -1).all(axis=1)
-            return np.where(hit[:, None, None, None], 0.0, g.reshape(xb.shape)).reshape(g.shape)
+            hit = (x == row).reshape(len(x), -1).all(axis=1)
+            return np.where(hit[:, None, None, None], 0.0, g)
 
         monkeypatch.setattr(Network, "input_gradient", patched)
 

@@ -183,7 +183,7 @@ def _fd_pair(evaluate, step):
 def _fd_check(net, x, y, rng, n_input=64, n_param=64):
     step, tol = 1e-4, 1e-3
     worst = 0.0
-    g = net.input_gradient(x, y)
+    g = net.input_gradient(x[None], [y])[0]
     flat, gflat = x.reshape(-1), g.reshape(-1)
     checked = 0
     for idx in rng.permutation(flat.size):
@@ -193,7 +193,7 @@ def _fd_check(net, x, y, rng, n_input=64, n_param=64):
         def eval_at(h, idx=idx):
             xv = flat.copy()
             xv[idx] += h
-            return net.loss(xv.reshape(x.shape), y)
+            return net.loss(xv.reshape(x.shape)[None], [y])
 
         fd, smooth = _fd_pair(eval_at, step)
         if not smooth:
@@ -204,7 +204,7 @@ def _fd_check(net, x, y, rng, n_input=64, n_param=64):
         worst = max(worst, abs(gflat[idx] - fd) / max(abs(fd), abs(gflat[idx]), 1e-8))
     assert checked >= min(n_input, flat.size), "too few smooth input coords"
 
-    _, grads = net.param_gradients(x, y)
+    _, grads = net.param_gradients(x[None], [y])
     entries = [(li, name) for li, layer in enumerate(net.params) for name in layer]
     checked = 0
     attempts = 0
@@ -217,7 +217,7 @@ def _fd_check(net, x, y, rng, n_input=64, n_param=64):
 
         def eval_at(h, arr=arr, idx=idx, orig=orig):
             arr.reshape(-1)[idx] = orig + h
-            value = net.loss(x, y)
+            value = net.loss(x[None], [y])
             arr.reshape(-1)[idx] = orig
             return value
 
@@ -509,7 +509,7 @@ def test_criterion_11_defence_directions():
         return float(
             np.mean(
                 [
-                    int(model.predict(run_attack("fgsm", model, x, int(y), acfg).adversarial)) == int(y)
+                    int(model.predict(run_attack("fgsm", model, x, int(y), acfg).adversarial[None])[0]) == int(y)
                     for x, y in zip(xs, ys)
                 ]
             )

@@ -72,7 +72,7 @@ class TestAdversarialTrain:
             hits = 0
             for x, y in zip(xs, ys):
                 adv = run_attack("fgsm", model, x, int(y), attack_cfg).adversarial
-                hits += int(int(model.predict(adv)) == int(y))
+                hits += int(int(model.predict(adv[None])[0]) == int(y))
             return hits / len(xs)
 
         undefended = fgsm_accuracy(net)

@@ -32,7 +32,7 @@ def rel_err(a, b):
 
 
 def check_input_gradient(net, x, y, rng, n_coords=64):
-    g = net.input_gradient(x, y)
+    g = net.input_gradient(x[None], [y])[0]
     flat = x.reshape(-1)
     gflat = g.reshape(-1)
     for idx in rng.choice(flat.size, size=min(n_coords, flat.size), replace=False):
@@ -40,14 +40,14 @@ def check_input_gradient(net, x, y, rng, n_coords=64):
         xp[idx] += STEP
         xm = flat.copy()
         xm[idx] -= STEP
-        fd = (net.loss(xp.reshape(x.shape), y) - net.loss(xm.reshape(x.shape), y)) / (2 * STEP)
+        fd = (net.loss(xp.reshape(x.shape)[None], [y]) - net.loss(xm.reshape(x.shape)[None], [y])) / (2 * STEP)
         if abs(fd) < 1e-10 and abs(gflat[idx]) < 1e-10:
             continue
         assert rel_err(gflat[idx], fd) < REL_TOL, f"input coord {idx}"
 
 
 def check_param_gradients(net, x, y, rng, n_coords=64):
-    _, grads = net.param_gradients(x, y)
+    _, grads = net.param_gradients(x[None], [y])
     entries = [
         (li, name)
         for li, layer in enumerate(net.params)
@@ -63,9 +63,9 @@ def check_param_gradients(net, x, y, rng, n_coords=64):
         arr = net.params[li][name]
         orig = arr.reshape(-1)[idx]
         arr.reshape(-1)[idx] = orig + STEP
-        up = net.loss(x, y)
+        up = net.loss(x[None], [y])
         arr.reshape(-1)[idx] = orig - STEP
-        down = net.loss(x, y)
+        down = net.loss(x[None], [y])
         arr.reshape(-1)[idx] = orig
         fd = (up - down) / (2 * STEP)
         analytic = grads[li][name].reshape(-1)[idx]

@@ -200,9 +200,9 @@ class TestPartialBackward:
         xs, _ = self.batch(4, seed=7)
         z, dx = net.logit_backprop(xs, np.array([1.0]))
         assert np.array_equal(z, net.logits(xs))
-        z1, dx1 = net.logit_backprop(xs[0], np.array([1.0]))
-        assert np.array_equal(z1, net.logits(xs[0]))
-        np.testing.assert_allclose(dx1, dx[0], rtol=0, atol=1e-15)
+        z1, dx1 = net.logit_backprop(xs[:1], np.array([1.0]))
+        assert np.array_equal(z1, net.logits(xs[:1]))
+        np.testing.assert_allclose(dx1[0], dx[0], rtol=0, atol=1e-15)
 
     def test_each_pass_asks_only_for_what_it_reads(self, monkeypatch):
         calls = []

@@ -97,14 +97,14 @@ class TestBuild:
 class TestForward:
     def test_zero_weight_sigmoid_is_half(self):
         net = logistic_net([0.0, 0.0, 0.0])
-        assert net.forward(np.zeros(3)) == 0.5
-        assert net.forward(np.ones(3)) == 0.5
+        assert net.forward(np.zeros(3)[None])[0] == 0.5
+        assert net.forward(np.ones(3)[None])[0] == 0.5
 
     def test_equal_logits_softmax_uniform(self):
         net = build([dense(4), softmax()], (3,), seed=0)
         net.params[0]["w"][:] = 0.0
         net.params[0]["b"][:] = 2.0
-        p = net.forward(np.ones(3))
+        p = net.forward(np.ones(3)[None])[0]
         assert np.allclose(p, 0.25, atol=1e-12)
         assert abs(p.sum() - 1.0) < 1e-9
 
@@ -117,14 +117,14 @@ class TestForward:
         h = np.maximum(h, 0.0)
         z = h @ net.params[3]["w"] + net.params[3]["b"]
         expected = 1.0 / (1.0 + math.exp(-z[0]))
-        assert abs(net.forward(x) - expected) < 1e-12
+        assert abs(net.forward(x[None])[0] - expected) < 1e-12
 
     def test_batched_forward_matches_loop(self):
         net = build([flatten(), dense(4), relu(), dense(2), softmax()], (2, 2, 1), seed=5)
         xs = np.random.default_rng(6).random((7, 2, 2, 1))
         batched = net.forward(xs)
         for i in range(7):
-            assert np.allclose(batched[i], net.forward(xs[i]), atol=1e-12)
+            assert np.allclose(batched[i], net.forward(xs[i][None])[0], atol=1e-12)
 
     def test_whole_set_forward_memory_is_bounded(self):
         # Row blocking caps the im2col expansion at one block; 512 rows in
@@ -141,30 +141,54 @@ class TestForward:
         assert peak < 16 * 2**20
 
 
+class TestBatchContract:
+    """Every method takes a batch (N, *input_shape); one image is a batch of one."""
+
+    CALLS = {
+        "forward": lambda net, x: net.forward(x),
+        "logits": lambda net, x: net.logits(x),
+        "predict": lambda net, x: net.predict(x),
+        "predict_and_score": lambda net, x: net.predict_and_score(x),
+        "loss": lambda net, x: net.loss(x, [1]),
+        "loss_and_predict": lambda net, x: net.loss_and_predict(x, [1]),
+        "param_gradients": lambda net, x: net.param_gradients(x, [1]),
+        "input_gradient": lambda net, x: net.input_gradient(x, [1]),
+        "logit_backprop": lambda net, x: net.logit_backprop(x, np.array([1.0])),
+    }
+
+    @pytest.mark.parametrize("method", sorted(CALLS))
+    def test_one_unbatched_image_is_rejected(self, method):
+        net = build([conv(2), relu(), maxpool(), flatten(), dense(1), sigmoid()], (4, 4, 1), seed=0)
+        x = np.random.default_rng(1).random((4, 4, 1))
+        with pytest.raises(ShapeMismatchError, match=r"\(N, 4, 4, 1\)"):
+            self.CALLS[method](net, x)
+        self.CALLS[method](net, x[None])  # the same image as a batch of one runs
+
+
 class TestLoss:
     def test_half_prediction_is_ln2(self):
         net = logistic_net([0.0, 0.0])
-        assert abs(net.loss(np.zeros(2), 1) - math.log(2)) < 1e-12
+        assert abs(net.loss(np.zeros(2)[None], [1]) - math.log(2)) < 1e-12
 
     def test_correct_prediction_near_zero(self):
         net = logistic_net([50.0], bias=50.0)
-        assert net.loss(np.ones(1), 1) <= 1e-6
+        assert net.loss(np.ones(1)[None], [1]) <= 1e-6
 
     def test_matches_scalar_formula(self):
         net = logistic_net([0.7, -0.3], bias=0.1)
         x = np.array([0.4, 0.9])
-        p = float(net.forward(x))
+        p = float(net.forward(x[None])[0])
         y = 0
         expected = -(y * math.log(p) + (1 - y) * math.log(1 - p))
-        assert abs(net.loss(x, y) - expected) < 1e-12
+        assert abs(net.loss(x[None], [y]) - expected) < 1e-12
 
     def test_invalid_label(self):
         net = logistic_net([1.0])
         with pytest.raises(InvalidLabelError):
-            net.loss(np.ones(1), 2)
+            net.loss(np.ones(1)[None], [2])
         smax = build([dense(2), softmax()], (3,), seed=0)
         with pytest.raises(InvalidLabelError):
-            smax.loss(np.ones(3), 5)
+            smax.loss(np.ones(3)[None], [5])
 
 
 class TestInputGradient:
@@ -172,21 +196,21 @@ class TestInputGradient:
         w = [0.8, -0.5, 0.3]
         net = logistic_net(w)
         x = np.array([0.2, 0.6, 0.9])
-        p = float(net.forward(x))
-        g = net.input_gradient(x, 1)
+        p = float(net.forward(x[None])[0])
+        g = net.input_gradient(x[None], [1])[0]
         assert np.allclose(g, (p - 1.0) * np.array(w), atol=1e-12)
 
     def test_zero_at_exact_fit(self):
         # p = 0.5 with y = 0.5 (soft target): gradient vanishes
         net = logistic_net([1.0, 1.0])
-        g = net.input_gradient(np.array([0.5, -0.5]), 0.5)
+        g = net.input_gradient(np.array([0.5, -0.5])[None], [0.5])[0]
         assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_finite_differences(self):
         net = build([conv(3), relu(), flatten(), dense(1), sigmoid()], (5, 5, 1), seed=7)
         rng = np.random.default_rng(8)
         x = rng.random((5, 5, 1))
-        g = net.input_gradient(x, 1)
+        g = net.input_gradient(x[None], [1])[0]
         for _ in range(64):
             i, j = rng.integers(0, 5, size=2)
             step = 1e-4
@@ -194,7 +218,7 @@ class TestInputGradient:
             xp[i, j, 0] += step
             xm = x.copy()
             xm[i, j, 0] -= step
-            fd = (net.loss(xp, 1) - net.loss(xm, 1)) / (2 * step)
+            fd = (net.loss(xp[None], [1]) - net.loss(xm[None], [1])) / (2 * step)
             denom = max(abs(fd), abs(g[i, j, 0]), 1e-8)
             assert abs(g[i, j, 0] - fd) / denom < 1e-3
 
@@ -204,8 +228,8 @@ class TestParamGradients:
         net = logistic_net([0.4, -0.2], bias=0.05)
         x = np.array([0.3, 0.7])
         y = 1
-        p = float(net.forward(x))
-        _, grads = net.param_gradients(x, y)
+        p = float(net.forward(x[None])[0])
+        _, grads = net.param_gradients(x[None], [y])
         assert np.allclose(grads[0]["w"][:, 0], (p - y) * x, atol=1e-12)
         assert np.allclose(grads[0]["b"], [p - y], atol=1e-12)
 
@@ -262,5 +286,5 @@ class TestPromotion:
         assert promoted[-1].temperature == 5.0
         assert promoted[-2].width == 2
         net = build(promoted, (2, 2, 1), seed=0)
-        p = net.forward(np.zeros((2, 2, 1)))
+        p = net.forward(np.zeros((2, 2, 1))[None])[0]
         assert abs(p.sum() - 1.0) < 1e-9

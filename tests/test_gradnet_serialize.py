@@ -46,7 +46,7 @@ class TestSerialize:
         save_network(net, path)
         back = load_network(path)
         x = np.random.default_rng(1).random((6, 6, 1))
-        assert abs(float(net.forward(x)) - float(back.forward(x))) < 1e-5
+        assert abs(float(net.forward(x[None])[0]) - float(back.forward(x[None])[0])) < 1e-5
 
     def test_sidecar_reports_parameter_count(self, tmp_path):
         net = small_net()

@@ -92,8 +92,8 @@ class TestTrain:
 
         net = build([flatten(), dropout(0.9), dense(1), sigmoid()], (1, 2, 1), seed=0)
         x = np.array([[[0.3], [0.9]]])
-        a = net.forward(x)
-        b = net.forward(x)
+        a = net.forward(x[None])[0]
+        b = net.forward(x[None])[0]
         assert a == b  # no stochasticity in eval mode
 
     def test_inference_deterministic_after_a_failed_epoch(self):

@@ -136,7 +136,7 @@ class TestRunExperiment:
         zero_gradient_at(flat)
         monkeypatch.setattr(runner, "run_attacks", recording)
         rows = run_experiment(cfg)
-        assert [kind for kind, _ in attacked] == ["mifgsm", "mifgsm"]  # the attack row, then the defence row
+        assert [kind for kind, _ in attacked] == ["mifgsm"]  # one run scores the attack row and the defence row
         for _, res in attacked:
             assert np.array_equal(res.adversarial[0], flat)
             assert (res.linf[0], res.l2_percent[0], res.iterations_used[0], res.success[0]) == (0.0, 0.0, 0, False)
@@ -179,6 +179,34 @@ class TestRunExperiment:
         attacked_acc, attacked_auc = scored(advs)
         assert (row.attack, row.defence) == ("fgsm", "pixel_deflect")
         assert (row.clean_accuracy, row.accuracy_under_attack, row.roc_auc) == (clean_acc, attacked_acc, attacked_auc)
+
+
+    def test_bare_net_is_attacked_once_per_attack(self, tmp_path, monkeypatch):
+        # The undefended row and the pixel_deflect row share their source,
+        # the bare net, so they score one run of each attack.
+        from advlab.bench import runner
+
+        nets, attacked = [], []
+        real_train, real_attacks = runner.train_network, runner.run_attacks
+
+        def training(*args):
+            nets.append(real_train(*args))
+            return nets[-1]
+
+        def recording(kind, net, *args, **kwargs):
+            attacked.append((kind, next((t for t, bare in enumerate(nets) if bare is net), None)))
+            return real_attacks(kind, net, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "train_network", training)
+        monkeypatch.setattr(runner, "run_attacks", recording)
+        p = tmp_path / "deflect.ini"
+        p.write_text(
+            TINY.split("[defence.adv_train]")[0]
+            + "\n[defence.pixel_deflect]\nkind = pixel_deflect\ndeflections = 10\nwindow = 2\n"
+        )
+        rows = run_experiment(parse_config(p))
+        assert attacked == [("fgsm", 0), ("kryptonite", 0), ("fgsm", 1), ("kryptonite", 1)]
+        assert sum(r.row == "defence" for r in rows) == 2 * 2 + 2  # per trial and attack, plus means
 
 
 class TestRoiExtraction:
