@@ -2,30 +2,36 @@
 
 The public layout is channels-last: `Network` takes and returns image
 batches as (N, H, W, C). Inside the network, conv, pooling and dropout
-activations are channels-first, (N, C, H, W), so every copy, add and
-strided view below runs along image rows of length W; `flatten`
-emits the (H, W, C) row order the dense weights expect. Activations are
-(N, D) after flattening. The batch is axis 0 of every kernel argument.
+activations are channel-major, (C, N, H, W), the layout in which the
+im2col matmul emits a conv's output, so no conv transposes its input,
+output or output gradient, and every copy, add and strided view below
+runs along image rows of length W. `flatten` emits the (H, W, C) row
+order the dense weights expect. Activations are (N, D) after flattening.
 
 The layer geometry is fixed (the VGG layout): every conv is 3x3 and
 same-padded with stride 1, so its output keeps the input's H and W, and
 every max-pool is 2x2 with stride 2, so it halves them, flooring an odd
 side. A conv uses an im2col matmul. Its patch matrix `cols` is
-(kh*kw*C, N*H*W), filled by one row-slice copy per kernel offset, with
-rows in (a, b, c) order so that `w.reshape(K, F)` (w is (kh, kw, C, F))
+(kh*kw*C, N*H*W), filled by one copy per kernel offset, with rows in
+(a, b, c) order so that `w.reshape(K, F)` (w is (kh, kw, C, F))
 multiplies it directly. `cols` is the whole cache, so the backward pass
-is a pair of matmuls plus a col2im of kh*kw row-contiguous adds.
-`conv_backward` computes only the gradients its caller asks for:
-training needs no input gradient from the first layer, and an input
-gradient needs no dW/db. Both conv kernels and both pooling kernels walk
-the kernel or window offsets through one helper, `_window_views`.
+is a pair of matmuls plus a col2im by flat shift: dy is zero-padded to
+the padded grid, so each kernel offset's share of dx is one contiguous
+shifted add into the flat padded dx, the same adds in the same order as
+a col2im over strided views. `conv_backward` computes only the
+gradients its caller asks for: training needs no input gradient from
+the first layer, and an input gradient needs no dW/db.
 
 Max-pooling works on the four 2x2 strided views of its input, one per
-window offset in raster order. The forward takes their running max
-and records, per output, the first offset that holds the max, which is
-the element `argmax` over the window would pick (ties are common: ReLU
-leaves all-zero windows). The backward adds each offset's share of dy
-into the matching strided view of dx, with no scatter index arrays.
+window offset in raster order (`_window_views`, which also fills
+`cols`). The forward takes their running max and records, per output,
+the first offset that holds the max, which is the element `argmax` over
+the window would pick (ties are common: flat image regions give equal
+conv outputs). The backward adds each offset's share of dy into the
+matching strided view of dx, with no scatter index arrays. The
+architectures pool before their ReLU: max and ReLU commute, and the
+first max is the element ReLU-then-pool routes to, so ReLU runs on a
+quarter of the elements.
 
 An inference forward keeps no backward state: with `keep=False` the
 pooling forward builds no offset index and returns no cache.
@@ -101,38 +107,45 @@ def softmax(temperature: float = 1.0) -> LayerSpec:
 
 
 def conv_forward(x, w, b):
-    """(y, cols) of a same-padded stride-1 conv layer."""
-    n, cin, h, wd = x.shape
+    """(y, cols) of a same-padded stride-1 conv layer; x is (C, N, H, W)
+    and y is (F, N, H, W), the matmul's (F, N*H*W) product as it stands."""
+    cin, n, h, wd = x.shape
     kh, kw, _, f = w.shape
     p = kh // 2
-    xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+    xp = np.zeros((cin, n, h + 2 * p, wd + 2 * p), dtype=x.dtype)
     xp[:, :, p : p + h, p : p + wd] = x
     cols = np.empty((kh * kw, cin, n, h, wd), dtype=x.dtype)
     for k, view in enumerate(_window_views(xp, kh, 1, h, wd)):
-        cols[k] = view.transpose(1, 0, 2, 3)
+        cols[k] = view
     cols = cols.reshape(kh * kw * cin, n * h * wd)
     y = w.reshape(-1, f).T @ cols
     y += b[:, None]
-    return y.reshape(f, n, h, wd).transpose(1, 0, 2, 3), cols
+    return y.reshape(f, n, h, wd), cols
 
 
 def conv_backward(dy, w, cols, need_dx=True, need_params=True):
     """(dx, dw, db) of a conv layer; a gradient not asked for is None."""
     kh, kw, cin, f = w.shape
-    n, _, h, wd = dy.shape
-    dy = dy.transpose(1, 0, 2, 3).reshape(f, n * h * wd)
+    _, n, h, wd = dy.shape
     dx = dw = db = None
     if need_params:
-        db = dy.sum(axis=1)
-        dw = (cols @ dy.T).reshape(w.shape)
+        dyf = dy.reshape(f, n * h * wd)
+        db = dyf.sum(axis=1)
+        dw = (cols @ dyf.T).reshape(w.shape)
     if need_dx:
-        # (kh*kw, N, C, H, W) view of the (K, N*H*W) product
-        dcols = (w.reshape(-1, f) @ dy).reshape(kh * kw, cin, n, h, wd).transpose(0, 2, 1, 3, 4)
         p = kh // 2
-        dxp = np.zeros((n, cin, h + 2 * p, wd + 2 * p))
-        for view, dview in zip(_window_views(dxp, kh, 1, h, wd), dcols):
-            view += dview
-        dx = dxp[:, :, p : p + h, p : p + wd]
+        hp, wp = h + 2 * p, wd + 2 * p
+        dyp = np.zeros((f, n, hp, wp))
+        dyp[:, :, p : p + h, p : p + wd] = dy
+        # Column j of offset k's (C, m) slice belongs at flat padded
+        # position j + s of dx; the padding columns of dyp add zeros.
+        dcols = (w.reshape(-1, f) @ dyp.reshape(f, -1)).reshape(kh * kw, cin, -1)
+        m = dcols.shape[2]
+        dxp = np.zeros((cin, m))
+        for k in range(kh * kw):
+            s = (k // kw - p) * wp + (k % kw - p)
+            dxp[:, max(s, 0) : m + min(s, 0)] += dcols[k, :, max(-s, 0) : m - max(s, 0)]
+        dx = dxp.reshape(cin, n, hp, wp)[:, :, p : p + h, p : p + wd]
     return dx, dw, db
 
 
@@ -158,6 +171,7 @@ def maxpool_forward(x, keep=True):
     if not keep:
         return y, None
     # idx counts the offsets before the first one that holds the max.
+    # Ties come from flat image regions, whose conv outputs are equal.
     idx = np.zeros(y.shape, dtype=np.uint8)
     found = np.zeros(y.shape, dtype=bool)
     for view in views[:-1]:
@@ -180,11 +194,11 @@ def maxpool_backward(dy, cache):
 def dropout_forward(x, rate, rng, train):
     """Inverted dropout. An image mask is drawn in (N, H, W, C) element
     order, the public layout, so a seeded network draws the same mask
-    whatever its internal layout."""
+    whatever its internal (C, N, H, W) layout."""
     if not train or rate == 0.0:
         return x, None
     if x.ndim == 4:
-        draw = rng.random(x.transpose(0, 2, 3, 1).shape).transpose(0, 3, 1, 2)
+        draw = rng.random(x.transpose(1, 2, 3, 0).shape).transpose(3, 0, 1, 2)
     else:
         draw = rng.random(x.shape)
     mask = (draw >= rate) / (1.0 - rate)

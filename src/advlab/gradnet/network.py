@@ -126,10 +126,11 @@ class Network:
 
         Without keep it is an inference forward and keeps no backward
         state: no ReLU mask or pooling index is built, and every cache
-        is None. An image batch runs channels-first, (N, C, H, W), from
-        the first layer to `flatten`.
+        is None. An image batch is transposed once to channel-major,
+        (C, N, H, W), and runs so from the first layer to `flatten`,
+        which emits the (N, H*W*C) rows of the public layout.
         """
-        act = xb.transpose(0, 3, 1, 2) if xb.ndim == 4 else xb
+        act = xb.transpose(3, 0, 1, 2) if xb.ndim == 4 else xb
         caches = []
         for spec, params in zip(self.specs[:-1], self.params[:-1]):
             act, cache = self._layer_forward(spec, params, act, train, keep)
@@ -158,8 +159,7 @@ class Network:
         if k == "dropout":
             return dropout_forward(act, spec.rate, self.rng, train)
         if k == "flatten":
-            n = act.shape[0]
-            return act.transpose(0, 2, 3, 1).reshape(n, -1), act.shape
+            return act.transpose(1, 2, 3, 0).reshape(act.shape[1], -1), act.shape
         if k == "dense":
             return act @ params["w"] + params["b"], act
         raise AssertionError(f"unexpected mid-stack layer {k}")
@@ -258,15 +258,15 @@ class Network:
             elif k == "dropout":
                 dact = dropout_backward(dact, cache)
             elif k == "flatten":
-                n, c, h, w = cache
-                dact = dact.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+                c, n, h, w = cache
+                dact = dact.reshape(n, h, w, c).transpose(3, 0, 1, 2)
             elif k == "dense":
                 if need_params:
                     grads[i] = {"w": cache.T @ dact, "b": dact.sum(axis=0)}
                 dact = dact @ params["w"].T if need_dx else None
         if need_params:
             return grads
-        return dact.transpose(0, 2, 3, 1) if dact.ndim == 4 else dact
+        return dact.transpose(1, 2, 3, 0) if dact.ndim == 4 else dact
 
     def _backward(self, xb, yb, train: bool, need_params: bool):
         """Loss and one kind of gradient of a batch: with need_params the
@@ -339,15 +339,16 @@ def _width_scaler(scale: float):
 
 
 def blob_cnn_specs(input_hw: int = 32, scale: float = 1.0) -> tuple[list[LayerSpec], tuple]:
-    """Two-conv grayscale CNN sized for the synthetic blob images."""
+    """Two-conv grayscale CNN sized for the synthetic blob images. Here
+    and in `reference_cnn_specs` each max-pool precedes its ReLU."""
     s = _width_scaler(scale)
     specs = [
         conv(s(8)),
-        relu(),
         maxpool(),
+        relu(),
         conv(s(16)),
-        relu(),
         maxpool(),
+        relu(),
         flatten(),
         dense(s(64)),
         relu(),
@@ -368,12 +369,12 @@ def reference_cnn_specs(input_hw: int = 126, scale: float = 1.0) -> tuple[list[L
         conv(s(50)),
         relu(),
         conv(s(75)),
-        relu(),
         maxpool(),
+        relu(),
         dropout(0.25),
         conv(s(125)),
-        relu(),
         maxpool(),
+        relu(),
         dropout(0.25),
         flatten(),
         dense(s(500)),

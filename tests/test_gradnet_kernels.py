@@ -3,7 +3,7 @@ the argmax/np.add.at formulation, the dropout draw order, the partial
 backward passes against a full one, and inference forwards against
 training ones.
 
-Kernels take and return channels-first (N, C, H, W) activations."""
+Kernels take and return channel-major (C, N, H, W) activations."""
 
 import numpy as np
 import pytest
@@ -47,11 +47,11 @@ def oracle_conv_backward(x, w, dy):
 
 
 def nchw(a):
-    return a.transpose(0, 3, 1, 2)
+    return a.transpose(3, 0, 1, 2)
 
 
 def nhwc(a):
-    return a.transpose(0, 2, 3, 1)
+    return a.transpose(1, 2, 3, 0)
 
 
 class TestConvAgainstOracle:
@@ -136,11 +136,11 @@ class TestMaxpoolAgainstOracle:
 
 def test_dropout_mask_follows_channels_last_draw_order():
     n, c, h, w = 2, 3, 4, 5
-    _, mask = dropout_forward(np.ones((n, c, h, w)), 0.5, np.random.default_rng(9), train=True)
+    _, mask = dropout_forward(np.ones((c, n, h, w)), 0.5, np.random.default_rng(9), train=True)
     draw = np.random.default_rng(9).random((n, h, w, c))
-    assert mask.shape == (n, c, h, w)
+    assert mask.shape == (c, n, h, w)
     for i, j, r, s in np.ndindex(n, c, h, w):
-        assert mask[i, j, r, s] == (2.0 if draw[i, r, s, j] >= 0.5 else 0.0)
+        assert mask[j, i, r, s] == (2.0 if draw[i, r, s, j] >= 0.5 else 0.0)
 
 
 def small_cnn(seed=0):
@@ -164,8 +164,8 @@ def full_backprop(net, xs, ys, rows):
         elif spec.kind == "maxpool":
             dact = maxpool_backward(dact, cache)
         elif spec.kind == "flatten":
-            n, c, h, w = cache
-            dact = dact.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+            c, n, h, w = cache
+            dact = dact.reshape(n, h, w, c).transpose(3, 0, 1, 2)
         elif spec.kind == "dense":
             grads[i] = {"w": cache.T @ dact, "b": dact.sum(axis=0)}
             dact = dact @ params["w"].T
