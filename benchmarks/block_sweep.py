@@ -16,9 +16,10 @@ over all of them.
 
 One markdown row per block: the median time per row of the forward and
 of the gradient pass, the minor page faults of the gradient pass, the
-tracemalloc peak of one forward (the input set is allocated before
-tracing starts) and the process's peak RSS. BLAS runs on one thread, as
-in perfbench.
+tracemalloc peaks of one forward over the set and of one
+`ATTACK_CHUNK`-row `input_gradient` and `param_gradients` (inputs are
+allocated before tracing starts), and the process's peak RSS. BLAS runs
+on one thread, as in perfbench.
 """
 
 from __future__ import annotations
@@ -69,17 +70,23 @@ def measure(block: int, rows: int) -> dict:
         net.input_gradient(xs[i : i + ATTACK_CHUNK], ys[i : i + ATTACK_CHUNK])
     gradient_s = (time.perf_counter() - start) / rows
     gradient_faults = faults() - before
-    tracemalloc.start()
-    try:
-        net.forward(xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def traced_peak_mib(run) -> float:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    chunk = slice(0, ATTACK_CHUNK)
     return {
         "forward_ms_per_row": forward_s * 1e3,
         "gradient_ms_per_row": gradient_s * 1e3,
         "gradient_minor_faults": gradient_faults,
-        "traced_peak_mib": peak / 2**20,
+        "traced_peak_mib": traced_peak_mib(lambda: net.forward(xs)),
+        "input_gradient_peak_mib": traced_peak_mib(lambda: net.input_gradient(xs[chunk], ys[chunk])),
+        "param_gradients_peak_mib": traced_peak_mib(lambda: net.param_gradients(xs[chunk], ys[chunk])),
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -100,13 +107,18 @@ def main(argv=None) -> int:
             cmd = [sys.executable, __file__, "--child", str(b), "--rows", str(args.rows)]
             runs[b].append(json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout))
     print(f"{args.rows} rows, {args.repeats} repeats, nproc {os.cpu_count()}")
-    print("| block | forward ms/row | gradient ms/row after | gradient minor faults | traced peak MiB | peak RSS MB |")
-    print("|---|---|---|---|---|---|")
+    print(
+        "| block | forward ms/row | gradient ms/row after | gradient minor faults | traced peak MiB"
+        " | input_gradient peak MiB | param_gradients peak MiB | peak RSS MB |"
+    )
+    print("|---|---|---|---|---|---|---|---|")
     for b, got in runs.items():
         med = {k: statistics.median(r[k] for r in got) for k in got[0]}
         print(
             f"| {b} | {med['forward_ms_per_row']:.3f} | {med['gradient_ms_per_row']:.3f}"
-            f" | {med['gradient_minor_faults']:.0f} | {med['traced_peak_mib']:.1f} | {med['max_rss_mb']:.1f} |"
+            f" | {med['gradient_minor_faults']:.0f} | {med['traced_peak_mib']:.1f}"
+            f" | {med['input_gradient_peak_mib']:.2f} | {med['param_gradients_peak_mib']:.2f}"
+            f" | {med['max_rss_mb']:.1f} |"
         )
     return 0
 

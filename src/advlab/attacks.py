@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateImageError,
     DimensionMismatchError,
+    EmptyBatchError,
     EmptyRoIError,
     NoContourError,
     ZeroGradientError,
@@ -340,6 +341,8 @@ def run_attacks(kind: str, net, xs: np.ndarray, ys, cfg: AttackConfig, rois: np.
     """
     xs = np.asarray(xs)
     ys = np.asarray(ys)
+    if xs.shape[0] == 0:
+        raise EmptyBatchError("attack on an empty batch")
     chunks = []
     for start in range(0, xs.shape[0], ATTACK_CHUNK):
         part = slice(start, start + ATTACK_CHUNK)

@@ -14,13 +14,19 @@ every max-pool is 2x2 with stride 2, so it halves them, flooring an odd
 side. A conv uses an im2col matmul. Its patch matrix `cols` is
 (kh*kw*C, N*H*W), filled by one copy per kernel offset, with rows in
 (a, b, c) order so that `w.reshape(K, F)` (w is (kh, kw, C, F))
-multiplies it directly. `cols` is the whole cache, so the backward pass
-is a pair of matmuls plus a col2im by flat shift: dy is zero-padded to
-the padded grid, so each kernel offset's share of dx is one contiguous
-shifted add into the flat padded dx, the same adds in the same order as
-a col2im over strided views. `conv_backward` computes only the
-gradients its caller asks for: training needs no input gradient from
-the first layer, and an input gradient needs no dW/db.
+multiplies it directly. `cols` is the whole cache, and only dW reads it,
+so an input gradient keeps none. The backward pass is a pair of matmuls
+plus a col2im by flat shift: dy is zero-padded to the padded grid, so
+each kernel offset's share of dx is one contiguous shifted add into the
+flat padded dx, the same adds in the same order as a col2im over strided
+views. The dx product is formed one kernel row (kw offsets) at a time
+into one reused buffer, a third of the full product's size. A group
+never shrinks to one offset: with one input channel that product would
+have one row, and numpy would take its matrix-vector path, which rounds
+apart from the matrix product (by about 7e-15 on blob_cnn's first conv).
+`conv_backward` computes only the gradients its caller asks for:
+training needs no input gradient from the first layer, and an input
+gradient needs no dW/db.
 
 Max-pooling works on the four 2x2 strided views of its input, one per
 window offset in raster order (`_window_views`, which also fills
@@ -137,14 +143,19 @@ def conv_backward(dy, w, cols, need_dx=True, need_params=True):
         hp, wp = h + 2 * p, wd + 2 * p
         dyp = np.zeros((f, n, hp, wp))
         dyp[:, :, p : p + h, p : p + wd] = dy
-        # Column j of offset k's (C, m) slice belongs at flat padded
+        # One kernel row (kw offsets) per matmul, into one reused buffer.
+        # Column j of offset (a, b)'s (C, m) slice belongs at flat padded
         # position j + s of dx; the padding columns of dyp add zeros.
-        dcols = (w.reshape(-1, f) @ dyp.reshape(f, -1)).reshape(kh * kw, cin, -1)
-        m = dcols.shape[2]
+        dyf = dyp.reshape(f, -1)
+        m = dyf.shape[1]
+        rows = w.reshape(kh, kw * cin, f)
+        dcols = np.empty((kw * cin, m))
         dxp = np.zeros((cin, m))
-        for k in range(kh * kw):
-            s = (k // kw - p) * wp + (k % kw - p)
-            dxp[:, max(s, 0) : m + min(s, 0)] += dcols[k, :, max(-s, 0) : m - max(s, 0)]
+        for a in range(kh):
+            np.matmul(rows[a], dyf, out=dcols)
+            for b, part in enumerate(dcols.reshape(kw, cin, m)):
+                s = (a - p) * wp + (b - p)
+                dxp[:, max(s, 0) : m + min(s, 0)] += part[:, max(-s, 0) : m - max(s, 0)]
         dx = dxp.reshape(cin, n, hp, wp)[:, :, p : p + h, p : p + wd]
     return dx, dw, db
 

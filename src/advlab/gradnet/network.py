@@ -45,8 +45,10 @@ from .layers import (
 _EPS = 1e-7  # probability clamp before logs
 # Rows per inference forward. im2col expands each conv input ninefold, so
 # a whole-set forward would hold that expansion for every row at once.
-# benchmarks/block_sweep.py measures the choice: below 32 rows the 16-row
-# gradient passes that follow page-fault, as glibc's mmap threshold stays
+# benchmarks/block_sweep.py measures the choice: after blocks of 16 to 64
+# rows the 16-row gradient passes that follow run alike and fault fewer
+# than ten times, and larger blocks only raise peak memory. After 8-row
+# blocks they fault about 1,300 times, as glibc's mmap threshold stays
 # under their array sizes.
 FORWARD_BLOCK = 32
 
@@ -121,20 +123,23 @@ class Network:
             raise ShapeMismatchError(f"input shape {x.shape} is not a batch ({expected})")
         return x
 
-    def _run(self, xb: np.ndarray, train: bool, keep: bool):
+    def _run(self, xb: np.ndarray, train: bool, keep: bool, need_params: bool = True):
         """Forward pass; returns (head output, logits, caches).
 
-        Without keep it is an inference forward and keeps no backward
-        state: no ReLU mask or pooling index is built, and every cache
-        is None. An image batch is transposed once to channel-major,
-        (C, N, H, W), and runs so from the first layer to `flatten`,
-        which emits the (N, H*W*C) rows of the public layout.
+        Each pass keeps only what the backward after it reads. Without
+        keep it is an inference forward and keeps no backward state: no
+        ReLU mask or pooling index is built, and every cache is None.
+        With keep but without need_params an input gradient follows,
+        which reads no im2col matrix, so no conv's `cols` is kept and
+        its cache is None. An image batch is transposed once to
+        channel-major, (C, N, H, W), and runs so from the first layer to
+        `flatten`, which emits the (N, H*W*C) rows of the public layout.
         """
         act = xb.transpose(3, 0, 1, 2) if xb.ndim == 4 else xb
         caches = []
         for spec, params in zip(self.specs[:-1], self.params[:-1]):
             act, cache = self._layer_forward(spec, params, act, train, keep)
-            caches.append(cache if keep else None)
+            caches.append(cache if keep and (need_params or spec.kind != "conv") else None)
         z = act
         if self.specs[-1].kind == "sigmoid":
             out = stable_sigmoid(z)
@@ -239,12 +244,15 @@ class Network:
         With need_params it returns the parameter gradients and stops at
         the lowest layer that has parameters, whose input gradient nobody
         reads; without, it returns the input gradient and skips dW/db.
+        Each cache is released from `caches` as it is consumed, so a
+        conv's im2col matrix is freed before the layers below it run.
         """
         grads: list[dict] = [{} for _ in self.specs]
         stop = min((i for i, p in enumerate(self.params) if p), default=0) if need_params else 0
         dact = dz
         for i in range(len(self.specs) - 2, stop - 1, -1):
             spec, params, cache = self.specs[i], self.params[i], caches[i]
+            caches[i] = None
             need_dx = i > stop or not need_params
             k = spec.kind
             if k == "conv":
@@ -274,7 +282,7 @@ class Network:
         input gradient of its own loss."""
         n = xb.shape[0]
         targets = self._targets(yb, n)
-        out, z, caches = self._run(xb, train=train, keep=True)
+        out, z, caches = self._run(xb, train=train, keep=True, need_params=need_params)
         rows = n if need_params else 1
         if self.head.kind == "sigmoid":
             loss = self._loss_from_probs(out[:, 0], targets)
@@ -292,7 +300,7 @@ class Network:
         (2-logit softmax head).
         """
         xb = self._as_batch(x)
-        _, z, caches = self._run(xb, train=False, keep=True)
+        _, z, caches = self._run(xb, train=False, keep=True, need_params=False)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), (xb.shape[0], self.shapes[-1][0]))
         return z, self._backprop_layers(caches, dz, need_params=False)
 

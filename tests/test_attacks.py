@@ -16,7 +16,7 @@ from advlab.attacks import (
     run_attack,
     run_attacks,
 )
-from advlab.errors import DimensionMismatchError, EmptyRoIError, ZeroGradientError
+from advlab.errors import DimensionMismatchError, EmptyBatchError, EmptyRoIError, ZeroGradientError
 from advlab.gradnet import Network, build, dense, flatten, relu, sigmoid
 from advlab.metrics import lp_norm
 
@@ -443,6 +443,12 @@ class TestRunAttacks:
         net, xs, ys, rois = batch_problem()
         batched = run_attacks(kind, net, xs, ys, self.CFG, rois=rois)
         assert_same(batched, loop_reference(kind, net, xs, ys, rois, self.CFG), xs)
+
+    @pytest.mark.parametrize("kind", ATTACK_NAMES)
+    def test_empty_batch_is_rejected(self, kind):
+        net, xs, ys, rois = batch_problem()
+        with pytest.raises(EmptyBatchError):
+            run_attacks(kind, net, xs[:0], ys[:0], self.CFG, rois=rois[:0])
 
     @pytest.mark.parametrize("kind", ["mifgsm", "kryptonite"])
     def test_zero_gradient_row_mid_chunk_comes_back_unmoved(self, kind, zero_gradient_at):

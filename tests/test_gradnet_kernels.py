@@ -74,6 +74,48 @@ class TestConvAgainstOracle:
         np.testing.assert_allclose(db, db_ref, rtol=0, atol=1e-12)
 
 
+def single_matmul_dx(dy, w):
+    """A conv's input gradient by flat shift from one (kh*kw*C, m)
+    product of all kernel offsets at once; conv_backward's kernel-row
+    products must give the same dx byte for byte."""
+    kh, kw, cin, f = w.shape
+    _, n, h, wd = dy.shape
+    p = kh // 2
+    hp, wp = h + 2 * p, wd + 2 * p
+    dyp = np.zeros((f, n, hp, wp))
+    dyp[:, :, p : p + h, p : p + wd] = dy
+    dcols = (w.reshape(-1, f) @ dyp.reshape(f, -1)).reshape(kh * kw, cin, -1)
+    m = dcols.shape[2]
+    dxp = np.zeros((cin, m))
+    for k in range(kh * kw):
+        s = (k // kw - p) * wp + (k % kw - p)
+        dxp[:, max(s, 0) : m + min(s, 0)] += dcols[k, :, max(-s, 0) : m - max(s, 0)]
+    return dxp.reshape(cin, n, hp, wp)[:, :, p : p + h, p : p + wd]
+
+
+# (N, C, H, W, F): one channel, one image, odd sides, one filter, and the
+# blob_cnn x0.75 shapes of a 16-row attack chunk.
+DX_SHAPES = [
+    (1, 1, 8, 8, 1),
+    (16, 1, 32, 32, 6),
+    (16, 6, 16, 16, 12),
+    (1, 6, 16, 16, 12),
+    (3, 2, 7, 9, 1),
+    (4, 5, 11, 13, 3),
+    (2, 1, 1, 1, 2),
+]
+
+
+@pytest.mark.parametrize("shape", DX_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_input_gradient_by_kernel_row_is_bit_identical(shape):
+    n, cin, h, wd, f = shape
+    rng = np.random.default_rng(sum(shape))
+    dy, w = rng.standard_normal((f, n, h, wd)), rng.standard_normal((3, 3, cin, f))
+    dx, dw, db = conv_backward(dy, w, None, need_params=False)
+    assert dw is None and db is None
+    assert dx.tobytes() == single_matmul_dx(dy, w).tobytes()
+
+
 def oracle_maxpool_forward(x, window, stride):
     """Window copy, argmax and take_along_axis."""
     n, c = x.shape[:2]
@@ -205,10 +247,11 @@ class TestPartialBackward:
         np.testing.assert_allclose(dx1[0], dx[0], rtol=0, atol=1e-15)
 
     def test_each_pass_asks_only_for_what_it_reads(self, monkeypatch):
-        calls = []
+        calls, handed = [], []
 
         def spy(dy, w, cols, need_dx=True, need_params=True):
             calls.append((w.shape[-1], need_dx, need_params))
+            handed.append(cols)
             return conv_backward(dy, w, cols, need_dx=need_dx, need_params=need_params)
 
         monkeypatch.setattr(network, "conv_backward", spy)
@@ -217,8 +260,11 @@ class TestPartialBackward:
         net.param_gradients(xs, ys)
         assert calls == [(6, True, True), (4, False, True)]
         calls.clear()
+        handed.clear()
         net.input_gradient(xs, ys)
         assert calls == [(6, True, False), (4, True, False)]
+        net.logit_backprop(xs, np.array([1.0]))
+        assert handed == [None] * 4  # input gradients keep no im2col matrix
 
 
 class TestInferenceForward:
