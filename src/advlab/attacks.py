@@ -175,25 +175,25 @@ def _sign_steps(net, xs, ys, cfg, start=None, decay=None, rois=None, confine=Fal
     return _scored(xs, adv, success, np.full(n, cfg.iterations), zero, mus, progresses)
 
 
-def _binary_margin(net, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed distance surrogate and its input gradient, per row, for a
-    binary head."""
+def _binary_margin(net, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, signed distance surrogate and its input gradient, per row,
+    for a binary head, from one pass."""
     if net.head.kind == "sigmoid":
         dz = np.array([1.0])
     elif net.shapes[-1][0] == 2:
         dz = np.array([-1.0, 1.0])
     else:
         raise DimensionMismatchError("hyperplane stepping needs a binary head")
-    z, w = net.logit_backprop(xs, dz)
-    return z @ dz, w
+    labels, z, w = net.logit_backprop(xs, dz)
+    return labels, z @ dz, w
 
 
 def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> AttackResult:
     """The hyperplane-stepping loop over a batch xs (N, H, W, C).
 
-    A row leaves the active set at its first label flip, or flagged in
-    `zero` when its margin gradient vanishes; the network sees only
-    active rows.
+    A row leaves the active set when a step's margin pass finds its label
+    flipped, so the network sees it once more after its flipping step, or
+    flagged in `zero` when its margin gradient vanishes unflipped.
     """
     n = xs.shape[0]
     lo, hi = _ball(xs, cfg.epsilon)
@@ -207,15 +207,14 @@ def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> AttackResult:
     zero = np.zeros(n, dtype=bool)
     active = np.arange(n)
     for _ in range(cfg.iterations):
-        if active.size:
-            active = active[net.predict(adv[active]) == y0[active]]
+        labels, z, w = _binary_margin(net, adv[active])
+        l1 = np.abs(w).reshape(active.size, -1).sum(axis=1)
+        unflipped = labels == y0[active]
+        zero[active[unflipped & ~(l1 > 0.0)]] = True
+        moving = unflipped & (l1 > 0.0)
+        active, z, w, l1 = active[moving], z[moving], w[moving], l1[moving]
         if not active.size:
             break
-        z, w = _binary_margin(net, adv[active])
-        l1 = np.abs(w).reshape(active.size, -1).sum(axis=1)
-        moving = l1 > 0.0
-        zero[active[~moving]] = True
-        active, z, w, l1 = active[moving], z[moving], w[moving], l1[moving]
         step = (np.abs(z) + _CROSS) / l1 * (1.0 + cfg.overshoot)
         push = (direction[active] * step)[:, None, None, None]
         adv[active] = np.clip(adv[active] + push * np.sign(w), 0.0, 1.0)
@@ -224,17 +223,15 @@ def _deepfool(net, xs: np.ndarray, cfg: AttackConfig) -> AttackResult:
     return _scored(xs, adv, net.predict(adv) != y0, used, zero)
 
 
-def roi_progress(rho_prev: np.ndarray, rho_next: np.ndarray):
-    """Euclidean distance between successive RoI-masked iterates over
-    their trailing (H, W, C) axes: a float for one image, an (N,) array
-    for a batch."""
+def roi_progress(rho_prev: np.ndarray, rho_next: np.ndarray) -> np.ndarray:
+    """Euclidean distance between successive RoI-masked iterates, one per
+    image of two (N, H, W, C) batches: an (N,) array."""
     if rho_prev.shape != rho_next.shape:
         raise DimensionMismatchError(
             f"shape mismatch: {rho_prev.shape} vs {rho_next.shape}"
         )
-    diff = (rho_next - rho_prev).reshape(rho_prev.shape[:-3] + (-1,))
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    return float(dist) if dist.ndim == 0 else dist
+    diff = (rho_next - rho_prev).reshape(rho_prev.shape[0], -1)
+    return np.sqrt((diff**2).sum(axis=-1))
 
 
 ATTACK_NAMES = ("fgsm", "ifgsm", "pgd", "mifgsm", "deepfool", "kryptonite", "kryptonite_masked")

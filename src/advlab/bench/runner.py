@@ -90,15 +90,15 @@ def _clean_stats(model, xs, ys) -> tuple[float, float]:
 
 class Deflected:
     """The net behind pixel deflection: each image is deflected with the
-    net's own saliency map, then the net scores the batch. It lives here
-    so that pixel_deflect and gradient_saliency resolve through this
-    module's globals, where perfbench wraps them."""
+    net's own saliency map, computed per set, then the net scores the set.
+    It lives here so that pixel_deflect and gradient_saliency resolve
+    through this module's globals, where perfbench wraps them."""
 
     def __init__(self, net, cfg):
         self.net, self.cfg = net, cfg
 
     def predict_and_score(self, xs):
-        deflected = [pixel_deflect(x, gradient_saliency(self.net, x), self.cfg) for x in xs]
+        deflected = [pixel_deflect(x, s, self.cfg) for x, s in zip(xs, gradient_saliency(self.net, xs))]
         return self.net.predict_and_score(np.stack(deflected))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attacks import AttackConfig, run_attacks
+from .attacks import ATTACK_CHUNK, AttackConfig, run_attacks
 from .errors import NonPositiveTemperatureError
 from .gradnet import TrainConfig, build, promote_to_softmax, train
 from .gradnet.network import Network
@@ -86,12 +86,14 @@ def adversarial_train(
     return train(fresh, (xs, ys), replace(cfg.train, stop_accuracy=None), inputs=inputs)
 
 
-def gradient_saliency(net: Network, x: np.ndarray) -> np.ndarray:
-    """|input gradient| of one image at its predicted label, collapsed
-    over channels and scaled to [0, 1]; a defence sees no true labels."""
-    g = np.abs(net.input_gradient(x[None], net.predict(x[None]))[0]).sum(axis=2)
-    peak = g.max()
-    return g / peak if peak > 0 else g
+def gradient_saliency(net: Network, xs: np.ndarray) -> np.ndarray:
+    """(N, H, W) |input gradients| of xs (N, H, W, C), ATTACK_CHUNK rows
+    a pass, each at the pass's own label (a defence sees no true labels),
+    collapsed over channels and scaled to [0, 1] per image."""
+    starts = range(0, len(xs), ATTACK_CHUNK)
+    g = np.concatenate([np.abs(net.input_gradient(xs[i : i + ATTACK_CHUNK])).sum(axis=3) for i in starts])
+    peak = g.max(axis=(1, 2), keepdims=True)
+    return g / np.where(peak > 0, peak, 1.0)
 
 
 def median_filter3(img: np.ndarray) -> np.ndarray:

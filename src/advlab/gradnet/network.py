@@ -183,7 +183,7 @@ class Network:
         return self._labels(self.forward(x))
 
     def _labels(self, p) -> np.ndarray:
-        return (p > 0.5).astype(int) if self.head.kind == "sigmoid" else p.argmax(axis=1)
+        return (p > 0.5).astype(int).ravel() if self.head.kind == "sigmoid" else p.argmax(axis=1)
 
     def _scores(self, p):
         return p if self.head.kind == "sigmoid" else p[:, 1]
@@ -277,12 +277,12 @@ class Network:
         return dact.transpose(1, 2, 3, 0) if dact.ndim == 4 else dact
 
     def _backward(self, xb, yb, train: bool, need_params: bool):
-        """Loss and one kind of gradient of a batch: with need_params the
-        parameter gradients of the batch-mean loss, without it each row's
-        input gradient of its own loss."""
+        """Loss at labels yb (None: the forward's own) and one kind of
+        gradient of a batch: with need_params the parameter gradients of
+        the batch-mean loss, without it each row's input gradient."""
         n = xb.shape[0]
-        targets = self._targets(yb, n)
         out, z, caches = self._run(xb, train=train, keep=True, need_params=need_params)
+        targets = self._targets(self._labels(out) if yb is None else yb, n)
         rows = n if need_params else 1
         if self.head.kind == "sigmoid":
             loss = self._loss_from_probs(out[:, 0], targets)
@@ -292,20 +292,21 @@ class Network:
             dz = (out - targets) / (self.head.temperature * rows)
         return loss, self._backprop_layers(caches, dz, need_params)
 
-    def logit_backprop(self, x: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits and the gradient of dz . logits w.r.t. the input, from
-        one forward pass (dropout off).
+    def logit_backprop(self, x: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Labels (as `predict` gives them), logits and the gradient of
+        dz . logits w.r.t. the input, from one forward pass (dropout off).
 
         For a binary margin pass dz = [1] (sigmoid head) or [-1, 1]
         (2-logit softmax head).
         """
         xb = self._as_batch(x)
-        _, z, caches = self._run(xb, train=False, keep=True, need_params=False)
+        out, z, caches = self._run(xb, train=False, keep=True, need_params=False)
         dz = np.broadcast_to(np.asarray(dz, dtype=float), (xb.shape[0], self.shapes[-1][0]))
-        return z, self._backprop_layers(caches, dz, need_params=False)
+        return self._labels(out), z, self._backprop_layers(caches, dz, need_params=False)
 
-    def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
-        """Exact gradient of the loss w.r.t. every input pixel (dropout off)."""
+    def input_gradient(self, x: np.ndarray, y=None) -> np.ndarray:
+        """Exact gradient of the loss at labels y w.r.t. every input pixel
+        (dropout off); y None takes the pass's own labels, as a saliency."""
         return self._backward(self._as_batch(x), y, train=False, need_params=False)[1]
 
     def param_gradients(self, xs: np.ndarray, ys, train: bool = False) -> tuple[float, list[dict]]:

@@ -201,31 +201,31 @@ class TestDeepfool:
 
 class TestRoiProgress:
     def test_identical_is_zero(self):
-        a = np.random.default_rng(1).random((3, 3, 1))
-        assert roi_progress(a, a) == 0.0
+        a = np.random.default_rng(1).random((1, 3, 3, 1))
+        assert roi_progress(a, a).tolist() == [0.0]
 
     def test_single_pixel_delta(self):
-        a = np.zeros((3, 3, 1))
+        a = np.zeros((1, 3, 3, 1))
         b = a.copy()
-        b[2, 0, 0] = 0.25
-        assert roi_progress(a, b) == 0.25
+        b[0, 2, 0, 0] = 0.25
+        assert roi_progress(a, b).tolist() == [0.25]
 
     def test_matches_sum_of_squares(self):
         rng = np.random.default_rng(2)
-        a, b = rng.random((4, 4, 1)), rng.random((4, 4, 1))
+        a, b = rng.random((1, 4, 4, 1)), rng.random((1, 4, 4, 1))
         expected = math.sqrt(((a - b) ** 2).sum())
-        assert roi_progress(a, b) == pytest.approx(expected, abs=1e-12)
+        assert roi_progress(a, b)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            roi_progress(np.zeros((2, 2, 1)), np.zeros((3, 3, 1)))
+            roi_progress(np.zeros((1, 2, 2, 1)), np.zeros((1, 3, 3, 1)))
 
     def test_batch_gives_one_distance_per_image(self):
         rng = np.random.default_rng(3)
         a, b = rng.random((5, 4, 4, 2)), rng.random((5, 4, 4, 2))
         got = roi_progress(a, b)
         assert got.shape == (5,)
-        assert got.tolist() == [roi_progress(p, q) for p, q in zip(a, b)]
+        assert got.tolist() == [roi_progress(p[None], q[None])[0] for p, q in zip(a, b)]
 
 
 class TestKryptonite:
@@ -497,3 +497,15 @@ class TestRunAttacks:
         assert (net.predict(xs) != ys).any()
         outcomes = set(zip(batched.iterations_used.tolist(), batched.success.tolist()))
         assert {(1, True), (2, True), (3, False)} <= outcomes
+
+    @pytest.mark.parametrize("iterations", [1, 3, 8])
+    def test_deepfool_chunk_predicts_only_before_and_after(self, monkeypatch, iterations):
+        # Each margin pass labels its own rows, so a chunk's only forwards
+        # for labels are the clean prediction and the final one.
+        net, xs, ys, _ = batch_problem()
+        real = Network.predict
+        rows = []
+        monkeypatch.setattr(Network, "predict", lambda self, x: rows.append(len(x)) or real(self, x))
+        res = run_attacks("deepfool", net, xs[:ATTACK_CHUNK], ys[:ATTACK_CHUNK], AttackConfig(iterations=iterations))
+        assert rows == [ATTACK_CHUNK, ATTACK_CHUNK]
+        assert res.iterations_used.max() == min(iterations, 4)  # the last row flips at step 4

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from advlab.attacks import AttackConfig
+from advlab.attacks import ATTACK_CHUNK, AttackConfig
 from advlab.defences import (
     DefenceConfig,
     adversarial_train,
@@ -13,6 +13,7 @@ from advlab.defences import (
     pixel_deflect,
 )
 from advlab.gradnet import TrainConfig, build, dense, evaluate, flatten, relu, sigmoid, softmax_with_temperature, train
+from advlab.gradnet.network import Network
 
 
 def toy_set(n=60, seed=0):
@@ -198,10 +199,37 @@ class TestGradientSaliency:
     def test_normalized_to_unit_range(self):
         xs, ys = toy_set(n=20, seed=15)
         net = trained_toy_net(xs, ys, seed=15, epochs=20)
-        sal = gradient_saliency(net, xs[0])
-        assert sal.shape == (1, 2)
+        sal = gradient_saliency(net, xs[:1])
+        assert sal.shape == (1, 1, 2)
         assert sal.max() == pytest.approx(1.0)
         assert sal.min() >= 0.0
+
+    def test_one_pass_per_attack_chunk(self, monkeypatch):
+        # Each chunk's gradient pass labels its rows itself: no second
+        # forward for the labels, and no pass per image.
+        xs, ys = toy_set(n=20, seed=15)
+        net = trained_toy_net(xs, ys, seed=15, epochs=20)
+        alone = np.stack([gradient_saliency(net, x[None])[0] for x in xs])
+        real = Network._run
+        rows = []
+
+        def spy(self, xb, *args, **kwargs):
+            rows.append(len(xb))
+            return real(self, xb, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "_run", spy)
+        sal = gradient_saliency(net, xs)
+        assert rows == [len(xs[i : i + ATTACK_CHUNK]) for i in range(0, len(xs), ATTACK_CHUNK)]
+        assert sal.shape == (20, 1, 2)
+        np.testing.assert_allclose(sal, alone, rtol=0, atol=1e-12)
+
+    def test_each_image_is_scaled_alone(self, zero_gradient_at):
+        xs, ys = toy_set(n=20, seed=15)
+        net = trained_toy_net(xs, ys, seed=15, epochs=20)
+        zero_gradient_at(xs[3])
+        sal = gradient_saliency(net, xs)
+        assert (sal[3] == 0.0).all()
+        assert np.delete(sal, 3, axis=0).max(axis=(1, 2)).tolist() == [1.0] * 19
 
 
 class TestDistill:

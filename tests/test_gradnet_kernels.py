@@ -240,9 +240,9 @@ class TestPartialBackward:
     def test_logit_backprop_returns_its_forward_logits(self):
         net = small_cnn(seed=2)
         xs, _ = self.batch(4, seed=7)
-        z, dx = net.logit_backprop(xs, np.array([1.0]))
+        _, z, dx = net.logit_backprop(xs, np.array([1.0]))
         assert np.array_equal(z, net.logits(xs))
-        z1, dx1 = net.logit_backprop(xs[:1], np.array([1.0]))
+        _, z1, dx1 = net.logit_backprop(xs[:1], np.array([1.0]))
         assert np.array_equal(z1, net.logits(xs[:1]))
         np.testing.assert_allclose(dx1[0], dx[0], rtol=0, atol=1e-15)
 

@@ -223,6 +223,41 @@ class TestInputGradient:
             assert abs(g[i, j, 0] - fd) / denom < 1e-3
 
 
+class TestPassLabels:
+    """A gradient pass's labels are predict's, read from its own forward."""
+
+    SPECS = {
+        "sigmoid": [conv(2), relu(), flatten(), dense(1), sigmoid()],
+        "softmax": [conv(2), relu(), flatten(), dense(3), softmax()],
+    }
+
+    def problem(self, head):
+        net = build(self.SPECS[head], (5, 5, 1), seed=3)
+        return net, np.random.default_rng(4).random((9, 5, 5, 1))
+
+    @pytest.mark.parametrize("head", SPECS)
+    def test_input_gradient_defaults_to_own_labels(self, head):
+        net, xs = self.problem(head)
+        assert np.array_equal(net.input_gradient(xs), net.input_gradient(xs, net.predict(xs)))
+
+    @pytest.mark.parametrize("head", SPECS)
+    def test_logit_backprop_labels_are_predicts(self, head):
+        net, xs = self.problem(head)
+        labels, z, _ = net.logit_backprop(xs, np.ones(net.shapes[-1][0]))
+        assert np.array_equal(labels, net.predict(xs))
+        assert np.array_equal(z, net.logits(xs))
+
+    def test_tiny_positive_logit_is_label_zero(self):
+        # stable_sigmoid rounds z = 1e-17 to exactly 0.5, which predict
+        # reads as class 0; a z > 0 rule would say 1.
+        net = logistic_net([1.0], bias=1e-17)
+        xs = np.array([[0.0], [1.0], [-1.0]])
+        labels, z, _ = net.logit_backprop(xs, np.array([1.0]))
+        assert z[0, 0] > 0.0
+        assert labels.tolist() == net.predict(xs).tolist() == [0, 1, 0]
+        assert np.array_equal(net.input_gradient(xs), net.input_gradient(xs, [0, 1, 0]))
+
+
 class TestParamGradients:
     def test_logistic_closed_form(self):
         net = logistic_net([0.4, -0.2], bias=0.05)

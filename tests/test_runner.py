@@ -172,7 +172,7 @@ class TestRunExperiment:
         dcfg = replace(dcfg, seed=dcfg.seed + trial)
 
         def scored(xs):
-            preds, scores = net.predict_and_score(np.stack([pixel_deflect(x, gradient_saliency(net, x), dcfg) for x in xs]))
+            preds, scores = net.predict_and_score(np.stack([pixel_deflect(x, gradient_saliency(net, x[None])[0], dcfg) for x in xs]))
             return accuracy(preds, data.test_y), roc_auc(scores, data.test_y)
 
         clean_acc, _ = scored(data.test_x)
