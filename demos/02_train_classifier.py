@@ -41,6 +41,9 @@ net, history = train(
     (images[:1000], labels[:1000]),
     TrainConfig(epochs=20, batch_size=16, learning_rate=0.1, seed=0, stop_accuracy=0.995),
 )
+# train_acc is the running accuracy: each row as its own SGD pass labelled
+# it during that epoch. The stop rule instead evaluates the whole training
+# set after each epoch, with that epoch's final parameters.
 for epoch, (loss, acc) in enumerate(zip(history["loss"], history["accuracy"])):
     print(f"epoch {epoch}: loss={loss:.4f} train_acc={acc:.3f}")
 

@@ -247,6 +247,8 @@ def time_attacks(cfg: ExperimentConfig, samples: int = 50) -> dict[str, float]:
     block, so a change in the host's speed during the run lands on every
     attack alike rather than on whichever block it overlaps.
     """
+    if samples < 1:
+        raise ValueError(f"time_attacks samples must be >= 1, got {samples}")
     data = prepare_trial_data(cfg, 0)
     net = train_network(cfg, data, 0)
     xs, ys = data.test_x[:samples], data.test_y[:samples]

@@ -64,7 +64,8 @@ def adversarial_train(
     later epoch, all in one batched attack call. A sample whose gradient
     vanishes stays clean. Training runs every epoch through train(), so
     with fraction 0 the run is plain training under the same seed, and
-    history records the per-epoch mean batch loss and accuracy on the mix.
+    history is train()'s: the per-epoch mean batch loss and running
+    accuracy of the SGD passes on the mix.
     """
     xs, ys = dataset
     xs = np.asarray(xs, dtype=float)

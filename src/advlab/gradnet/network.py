@@ -277,12 +277,14 @@ class Network:
         return dact.transpose(1, 2, 3, 0) if dact.ndim == 4 else dact
 
     def _backward(self, xb, yb, train: bool, need_params: bool):
-        """Loss at labels yb (None: the forward's own) and one kind of
-        gradient of a batch: with need_params the parameter gradients of
-        the batch-mean loss, without it each row's input gradient."""
+        """Loss at labels yb (None: the forward's own), the forward's
+        labels and one kind of gradient of a batch: with need_params the
+        parameter gradients of the batch-mean loss, without it each row's
+        input gradient."""
         n = xb.shape[0]
         out, z, caches = self._run(xb, train=train, keep=True, need_params=need_params)
-        targets = self._targets(self._labels(out) if yb is None else yb, n)
+        labels = self._labels(out)
+        targets = self._targets(labels if yb is None else yb, n)
         rows = n if need_params else 1
         if self.head.kind == "sigmoid":
             loss = self._loss_from_probs(out[:, 0], targets)
@@ -290,7 +292,7 @@ class Network:
         else:
             loss = self._loss_from_probs(out, targets)
             dz = (out - targets) / (self.head.temperature * rows)
-        return loss, self._backprop_layers(caches, dz, need_params)
+        return loss, labels, self._backprop_layers(caches, dz, need_params)
 
     def logit_backprop(self, x: np.ndarray, dz: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Labels (as `predict` gives them), logits and the gradient of
@@ -307,11 +309,16 @@ class Network:
     def input_gradient(self, x: np.ndarray, y=None) -> np.ndarray:
         """Exact gradient of the loss at labels y w.r.t. every input pixel
         (dropout off); y None takes the pass's own labels, as a saliency."""
-        return self._backward(self._as_batch(x), y, train=False, need_params=False)[1]
+        return self._backward(self._as_batch(x), y, train=False, need_params=False)[2]
 
-    def param_gradients(self, xs: np.ndarray, ys, train: bool = False) -> tuple[float, list[dict]]:
-        """Loss and parameter gradients averaged over the batch; with
-        train, dropout draws its masks from the network's rng."""
+    def param_gradients(self, xs: np.ndarray, ys, train: bool = False) -> tuple[float, np.ndarray, list[dict]]:
+        """Loss, labels and parameter gradients of a batch from one pass.
+
+        The loss is the batch mean at labels ys and the gradients are of
+        that mean. The labels are the pass's own, by `predict`'s rule;
+        with train, dropout draws its masks from the network's rng and
+        the labels are those of the dropped-out pass, as SGD saw them.
+        """
         xs = self._as_batch(xs)
         if xs.shape[0] == 0:
             raise EmptyBatchError("gradient of an empty batch")

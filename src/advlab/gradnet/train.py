@@ -17,7 +17,7 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.1
     seed: int = 0
-    stop_accuracy: float | None = None  # early-stop once train accuracy reaches this
+    stop_accuracy: float | None = None  # early-stop once evaluated train accuracy reaches this
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -26,8 +26,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.stop_accuracy is not None and not np.isfinite(self.stop_accuracy):
-            raise ValueError(f"stop_accuracy must be finite when given, got {self.stop_accuracy}")
+        if self.stop_accuracy is not None and not 0.0 <= self.stop_accuracy <= 1.0:
+            raise ValueError(f"stop_accuracy must lie in [0, 1] when given, got {self.stop_accuracy}")
 
 
 def train(
@@ -39,8 +39,15 @@ def train(
     with dropout on in the parameter gradients. When given, `inputs(epoch)`
     returns the images to train on in that epoch, in the row order of
     `dataset`. Deterministic for a fixed config seed: the same shuffles,
-    the same dropout draws, the same parameters. History records per-epoch
-    mean batch loss and accuracy on that epoch's images (dropout off).
+    the same dropout draws, the same parameters.
+
+    History reads both of its per-epoch entries off the SGD passes
+    themselves, with dropout as trained: "loss" is the mean batch loss
+    and "accuracy" the share of that epoch's rows their own pass
+    labelled correctly (soft labels by argmax). Only the stop rule
+    evaluates: with `stop_accuracy` set, `evaluate` runs after each epoch
+    (dropout off, the epoch's final parameters) and training stops once
+    its accuracy reaches the bar.
     """
     xs, ys = dataset
     xs = np.asarray(xs, dtype=float)
@@ -49,6 +56,7 @@ def train(
     if n == 0:
         raise EmptyDatasetError("training set is empty")
 
+    hard = _hard_labels(ys)
     shuffle_rng = np.random.default_rng(cfg.seed)
     history = {"loss": [], "accuracy": []}
     for epoch in range(cfg.epochs):
@@ -56,18 +64,25 @@ def train(
             xs = inputs(epoch)
         order = shuffle_rng.permutation(n)
         losses = []
+        correct = 0
         for start in range(0, n, cfg.batch_size):
             take = order[start : start + cfg.batch_size]
-            loss, grads = net.param_gradients(xs[take], ys[take], train=True)
+            loss, labels, grads = net.param_gradients(xs[take], ys[take], train=True)
             losses.append(loss)
+            correct += int((labels == hard[take]).sum())
             for layer_params, layer_grads in zip(net.params, grads):
                 for name, g in layer_grads.items():
                     layer_params[name] -= cfg.learning_rate * g
         history["loss"].append(float(np.mean(losses)))
-        history["accuracy"].append(evaluate(net, xs, ys)[1])
-        if cfg.stop_accuracy is not None and history["accuracy"][-1] >= cfg.stop_accuracy:
+        history["accuracy"].append(correct / n)
+        if cfg.stop_accuracy is not None and evaluate(net, xs, ys)[1] >= cfg.stop_accuracy:
             break
     return net, history
+
+
+def _hard_labels(ys: np.ndarray) -> np.ndarray:
+    """True labels as class indices, to compare with `predict`: soft labels by argmax."""
+    return ys if ys.ndim == 1 else ys.argmax(axis=1)
 
 
 def evaluate(net: Network, xs: np.ndarray, ys) -> tuple[float, float]:
@@ -76,5 +91,4 @@ def evaluate(net: Network, xs: np.ndarray, ys) -> tuple[float, float]:
     if len(xs) == 0:
         raise EmptyDatasetError("evaluation set is empty")
     loss, preds = net.loss_and_predict(xs, ys)
-    hard = ys if ys.ndim == 1 else ys.argmax(axis=1)
-    return loss, int((preds == hard).sum()) / len(preds)
+    return loss, int((preds == _hard_labels(ys)).sum()) / len(preds)

@@ -204,7 +204,7 @@ def _fd_check(net, x, y, rng, n_input=64, n_param=64):
         worst = max(worst, abs(gflat[idx] - fd) / max(abs(fd), abs(gflat[idx]), 1e-8))
     assert checked >= min(n_input, flat.size), "too few smooth input coords"
 
-    _, grads = net.param_gradients(x[None], [y])
+    _, _, grads = net.param_gradients(x[None], [y])
     entries = [(li, name) for li, layer in enumerate(net.params) for name in layer]
     checked = 0
     attempts = 0

@@ -351,6 +351,8 @@ class TestConfig:
             (TrainConfig, "learning_rate", math.nan),
             (TrainConfig, "epochs", 0),
             (TrainConfig, "epochs", -3),
+            (TrainConfig, "stop_accuracy", 99.5),
+            (TrainConfig, "stop_accuracy", -0.1),
             (DefenceConfig, "temperature", math.nan),
             (DefenceConfig, "temperature", math.inf),
         ],

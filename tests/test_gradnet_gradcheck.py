@@ -47,7 +47,7 @@ def check_input_gradient(net, x, y, rng, n_coords=64):
 
 
 def check_param_gradients(net, x, y, rng, n_coords=64):
-    _, grads = net.param_gradients(x[None], [y])
+    _, _, grads = net.param_gradients(x[None], [y])
     entries = [
         (li, name)
         for li, layer in enumerate(net.params)
@@ -105,7 +105,7 @@ def test_batch_gradients_match_finite_differences():
     rng = np.random.default_rng(100)
     xs = rng.random((4, 6, 6, 1))
     ys = np.array([0, 1, 1, 0])
-    _, grads = net.param_gradients(xs, ys)
+    _, _, grads = net.param_gradients(xs, ys)
     arr = net.params[0]["w"]
     for idx in rng.choice(arr.size, size=8, replace=False):
         orig = arr.reshape(-1)[idx]
@@ -123,7 +123,7 @@ def test_dropout_train_mode_backward_is_mask():
     rng = np.random.default_rng(6)
     x = rng.random((1, 4, 4, 1)) + 0.5  # strictly positive so mask = y/x
     state = net.rng.bit_generator.state
-    loss, _, = net.param_gradients(x, np.array([1]), train=True)
+    loss, _, _ = net.param_gradients(x, np.array([1]), train=True)
     net.rng.bit_generator.state = state
     out, _, caches = net._run(x, train=True, keep=True)
     mask = caches[1]

@@ -223,7 +223,7 @@ class TestPartialBackward:
     def test_param_gradients_match_full_pass(self, n):
         net = small_cnn()
         xs, ys = self.batch(n)
-        _, grads = net.param_gradients(xs, ys)
+        _, _, grads = net.param_gradients(xs, ys)
         _, ref = full_backprop(net, xs, ys, rows=n)
         for g, r in zip(grads, ref):
             assert g.keys() == r.keys()

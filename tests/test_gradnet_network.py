@@ -247,6 +247,12 @@ class TestPassLabels:
         assert np.array_equal(labels, net.predict(xs))
         assert np.array_equal(z, net.logits(xs))
 
+    @pytest.mark.parametrize("head", SPECS)
+    def test_param_gradients_labels_are_predicts(self, head):
+        net, xs = self.problem(head)
+        _, labels, _ = net.param_gradients(xs, np.zeros(len(xs), dtype=int))
+        assert np.array_equal(labels, net.predict(xs))
+
     def test_tiny_positive_logit_is_label_zero(self):
         # stable_sigmoid rounds z = 1e-17 to exactly 0.5, which predict
         # reads as class 0; a z > 0 rule would say 1.
@@ -264,15 +270,15 @@ class TestParamGradients:
         x = np.array([0.3, 0.7])
         y = 1
         p = float(net.forward(x[None])[0])
-        _, grads = net.param_gradients(x[None], [y])
+        _, _, grads = net.param_gradients(x[None], [y])
         assert np.allclose(grads[0]["w"][:, 0], (p - y) * x, atol=1e-12)
         assert np.allclose(grads[0]["b"], [p - y], atol=1e-12)
 
     def test_duplicated_sample_same_gradient(self):
         net = build([flatten(), dense(3), relu(), dense(1), sigmoid()], (2, 2, 1), seed=11)
         x = np.random.default_rng(12).random((2, 2, 1))
-        _, once = net.param_gradients(x[None], np.array([1]))
-        _, twice = net.param_gradients(np.stack([x, x]), np.array([1, 1]))
+        _, _, once = net.param_gradients(x[None], np.array([1]))
+        _, _, twice = net.param_gradients(np.stack([x, x]), np.array([1, 1]))
         for a, b in zip(once, twice):
             for name in a:
                 assert np.allclose(a[name], b[name], atol=1e-12)

@@ -60,8 +60,8 @@ def test_pool_before_relu_matches_relu_before_pool(name):
 
     # Equal rng states draw equal dropout masks.
     assert pool_first.rng.bit_generator.state == relu_first.rng.bit_generator.state
-    loss_a, grads_a = pool_first.param_gradients(xs, ys, train=True)
-    loss_b, grads_b = relu_first.param_gradients(xs, ys, train=True)
+    loss_a, _, grads_a = pool_first.param_gradients(xs, ys, train=True)
+    loss_b, _, grads_b = relu_first.param_gradients(xs, ys, train=True)
     assert loss_a == loss_b
     for ga, gb in zip(grads_a, grads_b):
         assert ga.keys() == gb.keys()

@@ -1,5 +1,7 @@
 """SGD training: separable toys, determinism, degenerate configs."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,77 @@ class TestTrain:
         net_a, _ = train(build(specs, (1, 2, 1), seed=5), (xs, ys), cfg)
         net_b, _ = train(build(specs, (1, 2, 1), seed=5), (xs, ys), cfg)
         for pa, pb in zip(net_a.params, net_b.params):
+            for name in pa:
+                assert np.array_equal(pa[name], pb[name])
+
+    @pytest.mark.parametrize("head", [[dense(1), sigmoid()], [dense(2), softmax()]], ids=["sigmoid", "softmax"])
+    def test_history_accuracy_is_evaluate_when_parameters_stay(self, head):
+        # With learning_rate 0 and no dropout every SGD pass runs the
+        # parameters evaluate runs, so the running accuracy is evaluate's.
+        # A short warm-up first, so the labels are not one constant class.
+        xs, ys = two_pixel_set()
+        net = build([flatten(), dense(3), relu(), *head], (1, 2, 1), seed=4)
+        train(net, (xs, ys), TrainConfig(epochs=5, batch_size=8, learning_rate=0.5, seed=0))
+        _, history = train(net, (xs, ys), TrainConfig(epochs=3, batch_size=8, learning_rate=0.0, seed=1))
+        assert 0.6 < history["accuracy"][0] < 1.0
+        assert history["accuracy"] == [evaluate(net, xs, ys)[1]] * 3
+
+    def test_history_accuracy_of_soft_labels_by_argmax(self):
+        xs, ys = two_pixel_set()
+        soft = np.stack([1.0 - ys, ys], axis=1) * 0.8 + 0.1
+        net = build([flatten(), dense(2), softmax()], (1, 2, 1), seed=4)
+        train(net, (xs, soft), TrainConfig(epochs=5, batch_size=8, learning_rate=0.5, seed=0))
+        _, history = train(net, (xs, soft), TrainConfig(epochs=2, batch_size=8, learning_rate=0.0, seed=1))
+        assert 0.6 < history["accuracy"][0] < 1.0
+        assert history["accuracy"] == [evaluate(net, xs, ys)[1]] * 2
+
+    @pytest.mark.parametrize("stop, calls", [(None, 0), (1.0, 4)])
+    def test_evaluate_runs_only_for_the_stop_rule(self, monkeypatch, stop, calls):
+        # advlab.gradnet re-exports the function `train`, which hides the module.
+        gtrain = importlib.import_module("advlab.gradnet.train")
+        xs, ys = two_pixel_set()
+        seen = []
+
+        def counting(*args):
+            seen.append(len(args[1]))
+            return evaluate(*args)
+
+        monkeypatch.setattr(gtrain, "evaluate", counting)
+        cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=0.0, seed=1, stop_accuracy=stop)
+        _, history = train(fresh_net(), (xs, ys), cfg)
+        assert len(history["loss"]) == 4
+        assert seen == [len(xs)] * calls
+
+    def test_stop_rule_stops_where_an_evaluating_loop_stops(self):
+        """The stop rule reads evaluate (dropout off, end-of-epoch
+        parameters), not the running accuracy: the same stopping epoch
+        and parameters as a loop that evaluates after every epoch."""
+        from advlab.gradnet import dropout
+
+        xs, ys = two_pixel_set(n=64)
+        specs = [flatten(), dense(8), relu(), dropout(0.5), dense(1), sigmoid()]
+        cfg = TrainConfig(epochs=40, batch_size=8, learning_rate=0.3, seed=2, stop_accuracy=0.95)
+
+        ref = build(specs, (1, 2, 1), seed=5)
+        shuffle_rng = np.random.default_rng(cfg.seed)
+        evaluated = []
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(xs))
+            for start in range(0, len(xs), cfg.batch_size):
+                take = order[start : start + cfg.batch_size]
+                _, _, grads = ref.param_gradients(xs[take], ys[take], train=True)
+                for layer_params, layer_grads in zip(ref.params, grads):
+                    for name, g in layer_grads.items():
+                        layer_params[name] -= cfg.learning_rate * g
+            evaluated.append(evaluate(ref, xs, ys)[1])
+            if evaluated[-1] >= cfg.stop_accuracy:
+                break
+        assert 1 < len(evaluated) < cfg.epochs  # stops early, after more than one epoch
+
+        net, history = train(build(specs, (1, 2, 1), seed=5), (xs, ys), cfg)
+        assert len(history["accuracy"]) == len(evaluated)
+        assert history["accuracy"] != evaluated  # the running accuracy is another reading
+        for pa, pb in zip(net.params, ref.params):
             for name in pa:
                 assert np.array_equal(pa[name], pb[name])
 

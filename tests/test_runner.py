@@ -311,3 +311,15 @@ class TestTimeAttacks:
         assert list(times) == ["fgsm", "kryptonite"]
         assert all(t > 0.0 for t in times.values())
         assert calls == [("fgsm", False), ("kryptonite", True)] * 3
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_no_samples_rejected_before_training(self, tmp_path, monkeypatch, samples):
+        from advlab.bench import runner
+
+        p = tmp_path / "t.ini"
+        p.write_text(TINY.split("[defence.adv_train]")[0])
+        trained = []
+        monkeypatch.setattr(runner, "train_network", lambda *a: trained.append(a))
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            time_attacks(parse_config(p), samples=samples)
+        assert trained == []
